@@ -97,12 +97,9 @@ def _cmd_solve(args) -> int:
                                        shed_cap=shed_cap, **kwargs)
         elif args.method == "bd":
             solution = solve_benders(inst, scenario_cap=args.scenario_cap,
-                                     shed_cap=shed_cap, threads=args.threads,
-                                     **kwargs)
+                                     shed_cap=shed_cap, **kwargs)
         else:
-            solution = solve_delayed(inst, oracle=args.oracle,
-                                     shed_cap=shed_cap, threads=args.threads,
-                                     **kwargs)
+            solution = solve_delayed(inst, shed_cap=shed_cap, **kwargs)
     except (SolveTimeout, ScenarioCapError, InfeasibleDesignError,
             RuntimeError) as exc:
         raise CliError(f"solve failed: {exc}", SOLVER_ERROR)
@@ -194,7 +191,7 @@ def _cmd_bench(args) -> int:
         if m not in ("ef", "bd", "dsg"):
             raise CliError(f"unknown method {m!r}", USAGE_ERROR)
     rows = bench(instances, methods, time_limit=args.timeout,
-                 scenario_cap=args.scenario_cap, threads=args.threads)
+                 scenario_cap=args.scenario_cap)
     _write_or_print(bench_csv(rows), args.output)
     return 0
 
@@ -220,22 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock limit in seconds")
         p.add_argument("--scenario-cap", type=int, default=10 ** 7,
                        help="largest scenario space to enumerate")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any randomized component")
 
     p_solve = sub.add_parser("solve", help="compute an optimal design")
     common(p_solve)
     p_solve.add_argument("--method", choices=("ef", "bd", "dsg"),
                          default="dsg", help="solution approach")
-    p_solve.add_argument("--oracle", choices=("auto", "strong", "general"),
-                         default="auto",
-                         help="separation oracle for the dsg method")
     p_solve.add_argument("--shed-cap", type=float, default=None,
                          help="bound the worst shed and minimize build cost "
                               "only")
-    p_solve.add_argument("--threads", type=int, default=1,
-                         help="parallel scenario re-checks (timings are "
-                              "indicative when > 1)")
     p_solve.add_argument("--verify", action="store_true",
                          help="append an exhaustive verification section")
     p_solve.add_argument("--iteration-log", default=None,
@@ -282,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--timeout", type=float, default=600.0,
                          help="per-cell wall-clock limit in seconds")
     p_bench.add_argument("--scenario-cap", type=int, default=10 ** 7)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="run cells in parallel (timings become "
-                              "indicative)")
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

@@ -22,7 +22,6 @@ import dataclasses
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from sndp.branch_and_bound import MilpModel, SolveTimeout, solve_milp
 from sndp.instances import (
@@ -34,9 +33,15 @@ from sndp.instances import (
     total_demand,
     validate,
 )
-from sndp.maxflow import feasible_full_demand
-from sndp.recourse import BendersCut, make_cut, solve_recourse
+from sndp.recourse import (
+    BendersCut,
+    make_cut,
+    price_scenarios,
+    solve_recourse,
+    worst_case,
+)
 from sndp.separation import (
+    SeparationError,
     budget_attacks,
     find_mincut_attack,
     find_worst_attack,
@@ -62,7 +67,6 @@ class MasterState:
     cuts: list[BendersCut] = dataclasses.field(default_factory=list)
     scenarios: list[AttackVector] = dataclasses.field(default_factory=list)
     t: int = 0
-    incumbent: tuple[DesignVector, float] | None = None
     timers: dict[str, float] = dataclasses.field(
         default_factory=lambda: {"rmp": 0.0, "ndp": 0.0, "sp": 0.0})
     cut_keys: set = dataclasses.field(default_factory=set)
@@ -140,29 +144,28 @@ def enumerate_scenarios(inst: Instance, *, cap: int = DEFAULT_SCENARIO_CAP):
     return budget_attacks(inst, inst.edge_index.keys(), inst.budget, cap=cap)
 
 
-def count_scenarios(inst: Instance, *, cap: int = DEFAULT_SCENARIO_CAP
-                    ) -> tuple[int, bool]:
-    """(count, exact) pair; count is a lower bound when exact is False.
+def count_scenarios(inst: Instance, edge_ids=None, *,
+                    cap: int = DEFAULT_SCENARIO_CAP) -> tuple[int, bool]:
+    """Nonempty budget-feasible attacks over ``edge_ids`` (default: all
+    edges) as a (count, exact) pair; count is the cap when exact is False.
 
     Uniform attack costs admit a closed-form count; otherwise enumeration
-    stops at the cap and reports a lower bound.
+    stops at the cap.
     """
-    costs = [e.r for e in inst.edges]
+    if edge_ids is None:
+        edge_ids = inst.edge_index.keys()
+    costs = [inst.edge(e).r for e in edge_ids]
     if not costs or inst.budget < min(costs) - 1e-9:
         return 0, True
     if max(costs) - min(costs) <= 1e-12:
-        per = costs[0]
-        most = min(len(costs), int((inst.budget + 1e-9) / per))
+        most = min(len(costs), int((inst.budget + 1e-9) / costs[0]))
         count = sum(math.comb(len(costs), k) for k in range(1, most + 1))
-        if count > cap:
-            return cap, False
-        return count, True
+        return (count, True) if count <= cap else (cap, False)
     count = 0
     try:
-        for _ in budget_attacks(inst, inst.edge_index.keys(), inst.budget,
-                                cap=cap):
+        for _ in budget_attacks(inst, edge_ids, inst.budget, cap=cap):
             count += 1
-    except Exception:
+    except SeparationError:
         return cap, False
     return count, True
 
@@ -211,40 +214,22 @@ def _solve_master(inst, state, shed_cap, deadline):
     return DesignVector(built), sol.value("worst_shed"), sol.objective
 
 
-def _recheck_scenarios(inst, state, design, threshold, threads, deadline):
-    """Re-solve listed scenarios at the current design and add violated cuts.
+def _recheck_scenarios(inst, state, design, threshold, deadline):
+    """Re-price listed scenarios at the current design and add violated cuts.
 
-    Scenarios whose surviving network still routes all demand are screened
-    out with a max-flow solve before any LP runs.  Returns the number of
-    cuts added, the worst shed seen and the attack that attains it.
+    Returns the number of cuts added, the worst shed seen and the attack
+    that attains it.
     """
     t0 = time.perf_counter()
-    effective = [restrict_attack(s, design) for s in state.scenarios]
-
-    def evaluate(attack):
-        deadline.check("scenario re-check")
-        if feasible_full_demand(inst, design, attack):
-            return None  # shed 0 can never violate a nonnegative bound
-        return solve_recourse(inst, design, attack)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, effective))
-    else:
-        results = [evaluate(a) for a in effective]
+    priced = list(price_scenarios(inst, design, state.scenarios, deadline))
     added = 0
-    worst_seen, worst_attack = 0.0, None
-    for scenario, eff, result in zip(state.scenarios, effective, results):
-        if result is None:
-            continue
-        if result.shed > worst_seen + 1e-12:
-            worst_seen, worst_attack = result.shed, eff
-        if result.shed <= threshold + VIOLATION_TOL:
-            continue
-        if state.add_cut(make_cut(result, inst, scenario)):
+    for scenario, result in priced:
+        if result.shed > threshold + VIOLATION_TOL \
+                and state.add_cut(make_cut(result, inst, scenario)):
             added += 1
     state.timers["sp"] += time.perf_counter() - t0
-    return added, worst_seen, worst_attack
+    worst, worst_attack = worst_case(priced)
+    return added, worst, worst_attack
 
 
 def _finish(inst, state, design, worst_shed, worst_attack, method):
@@ -266,16 +251,19 @@ def _finish(inst, state, design, worst_shed, worst_attack, method):
 
 def solve_benders(inst: Instance, *, shed_cap: float | None = None,
                   scenario_cap: int = DEFAULT_SCENARIO_CAP,
-                  time_limit: float | None = None,
-                  threads: int = 1) -> DesignSolution:
+                  time_limit: float | None = None) -> DesignSolution:
     """Alternate master solves with a full scenario sweep until no cut is
-    violated.  Every budget-feasible attack is enumerated up front."""
+    violated.  Every budget-feasible attack is enumerated up front, once the
+    scenario count shows it fits under ``scenario_cap``."""
     _require_valid(inst)
     deadline = _Deadline(time_limit)
     state = MasterState()
+    if not count_scenarios(inst, cap=scenario_cap)[1]:
+        raise ScenarioCapError(
+            f"more than {scenario_cap} scenarios to enumerate")
     try:
         scenarios = list(enumerate_scenarios(inst, cap=scenario_cap))
-    except Exception as exc:
+    except SeparationError as exc:
         raise ScenarioCapError(str(exc)) from exc
     if not scenarios:
         # nothing is attackable; one empty scenario bounds the nominal shed
@@ -289,7 +277,7 @@ def solve_benders(inst: Instance, *, shed_cap: float | None = None,
             inst, state, shed_cap, deadline)
         threshold = shed_cap if shed_cap is not None else shed_var
         added, worst_seen, worst_attack = _recheck_scenarios(
-            inst, state, design, threshold, threads, deadline)
+            inst, state, design, threshold, deadline)
         state.record(master_obj, None, added)
         if added == 0:
             return _finish(inst, state, design, worst_seen, worst_attack, "bd")
@@ -307,38 +295,36 @@ class _SeparationRound:
     exact_attack: AttackVector | None
 
 
-def _separate(inst, design, shed_var, shed_cap, oracle, state, deadline
+def _separate(inst, design, shed_var, shed_cap, state, deadline
               ) -> _SeparationRound:
     """One oracle round against the incumbent design.
 
-    The min-cut oracle runs first (unless the exact oracle was forced) and
-    separates on a demand threshold.  An attack it returns is accepted only
-    when its recourse shed actually violates the current bound; otherwise the
-    exact oracle decides, because a cut below total demand lower-bounds the
-    shed but does not maximize it.
+    The min-cut oracle runs first and separates on a demand threshold.  An
+    attack it returns is accepted only when its recourse shed actually
+    violates the current bound; otherwise the exact oracle decides, because a
+    cut below total demand lower-bounds the shed but does not maximize it.
     """
     demand = total_demand(inst)
     bound = shed_cap if shed_cap is not None else shed_var
     threshold = (1.0 - bound) * demand
     t0 = time.perf_counter()
     try:
-        if oracle in ("auto", "strong"):
-            result = find_mincut_attack(inst, design, threshold,
-                                        deadline=deadline.stamp)
-            if result.attack is None and bound <= VIOLATION_TOL:
-                # every attack leaves a cut covering total demand, which is
-                # exactly "no attack sheds anything": certified
-                return _SeparationRound(None, result.severity, 0.0, None)
-            if result.attack is not None:
-                shed = solve_recourse(
-                    inst, design, restrict_attack(result.attack, design)).shed
-                if shed > bound + VIOLATION_TOL:
-                    return _SeparationRound(result.attack, result.severity,
-                                            None, None)
-            # For a positive shed bound the cut threshold cannot certify
-            # termination (scaling at the balance rows lets stranded supply
-            # push the shed above the cut ratio), and a returned attack need
-            # not maximize the shed: the exact oracle decides.
+        result = find_mincut_attack(inst, design, threshold,
+                                    deadline=deadline.stamp)
+        if result.attack is None and bound <= VIOLATION_TOL:
+            # every attack leaves a cut covering total demand, which is
+            # exactly "no attack sheds anything": certified
+            return _SeparationRound(None, result.severity, 0.0, None)
+        if result.attack is not None:
+            shed = solve_recourse(
+                inst, design, restrict_attack(result.attack, design)).shed
+            if shed > bound + VIOLATION_TOL:
+                return _SeparationRound(result.attack, result.severity,
+                                        None, None)
+        # For a positive shed bound the cut threshold cannot certify
+        # termination (scaling at the balance rows lets stranded supply push
+        # the shed above the cut ratio), and a returned attack need not
+        # maximize the shed: the exact oracle decides.
         result = find_worst_attack(inst, design, deadline=deadline.stamp)
         if result.severity > bound + VIOLATION_TOL:
             return _SeparationRound(result.attack, result.severity,
@@ -349,15 +335,11 @@ def _separate(inst, design, shed_var, shed_cap, oracle, state, deadline
         state.timers["ndp"] += time.perf_counter() - t0
 
 
-def solve_delayed(inst: Instance, *, oracle: str = "auto",
-                  shed_cap: float | None = None,
-                  time_limit: float | None = None,
-                  threads: int = 1) -> DesignSolution:
+def solve_delayed(inst: Instance, *, shed_cap: float | None = None,
+                  time_limit: float | None = None) -> DesignSolution:
     """Delayed scenario generation: list scenarios only when an oracle call
     proves them violated, then cut from the listed scenarios until the oracle
     certifies the incumbent design."""
-    if oracle not in ("auto", "strong", "general"):
-        raise ValueError(f"unknown oracle {oracle!r}")
     _require_valid(inst)
     deadline = _Deadline(time_limit)
     state = MasterState()
@@ -366,9 +348,7 @@ def solve_delayed(inst: Instance, *, oracle: str = "auto",
         deadline.check("master solve")
         design, shed_var, master_obj = _solve_master(
             inst, state, shed_cap, deadline)
-        state.incumbent = (design, shed_var)
-        round_ = _separate(
-            inst, design, shed_var, shed_cap, oracle, state, deadline)
+        round_ = _separate(inst, design, shed_var, shed_cap, state, deadline)
         if round_.violated is None:
             state.record(master_obj, round_.severity, 0)
             worst_shed = round_.exact_worst if round_.exact_worst is not None \
@@ -381,7 +361,7 @@ def solve_delayed(inst: Instance, *, oracle: str = "auto",
         state.add_scenario(round_.violated)
         threshold = shed_cap if shed_cap is not None else shed_var
         added, _, _ = _recheck_scenarios(
-            inst, state, design, threshold, threads, deadline)
+            inst, state, design, threshold, deadline)
         state.record(master_obj, round_.severity, added)
         if added == 0:
             raise RuntimeError(
@@ -409,15 +389,8 @@ def solve_exhaustive(inst: Instance, *, design_cap: int = 4096,
     for k in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, k):
             design = DesignVector(inst.existing_ids | frozenset(combo))
-            worst = solve_recourse(inst, design, EMPTY_ATTACK).shed
-            worst_attack = None
-            for s in scenarios:
-                eff = restrict_attack(s, design)
-                if feasible_full_demand(inst, design, eff):
-                    continue
-                shed = solve_recourse(inst, design, eff).shed
-                if shed > worst:
-                    worst, worst_attack = shed, eff
+            worst, worst_attack = worst_case(price_scenarios(
+                inst, design, scenarios or [EMPTY_ATTACK]))
             if shed_cap is not None and worst > shed_cap + VIOLATION_TOL:
                 continue
             cost = build_cost(inst, design)

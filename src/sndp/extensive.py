@@ -25,11 +25,10 @@ from sndp.instances import (
     DesignVector,
     EMPTY_ATTACK,
     Instance,
-    restrict_attack,
     validate,
 )
-from sndp.maxflow import feasible_full_demand
-from sndp.recourse import solve_recourse
+from sndp.recourse import price_scenarios, worst_case
+from sndp.separation import SeparationError
 from sndp.simplex import LpModel
 
 DEFAULT_EF_SCENARIO_CAP = 2000
@@ -92,7 +91,7 @@ def solve_extensive(inst: Instance, *,
         raise ValueError("invalid instance: " + "; ".join(report.findings))
     try:
         scenarios = list(enumerate_scenarios(inst, cap=scenario_cap))
-    except Exception as exc:
+    except SeparationError as exc:
         raise ScenarioCapError(
             f"{exc}; use the delayed-scenario solver for this instance"
         ) from exc
@@ -108,14 +107,8 @@ def solve_extensive(inst: Instance, *,
     design = DesignVector(built)
     # block shed variables are unpenalized slack below the worst-shed bound,
     # so the reported worst case is recomputed from the design directly
-    worst_shed, worst_attack = 0.0, None
-    for attack in [EMPTY_ATTACK] + scenarios:
-        effective = restrict_attack(attack, design)
-        if feasible_full_demand(inst, design, effective):
-            continue
-        shed = solve_recourse(inst, design, effective).shed
-        if shed > worst_shed + 1e-12:
-            worst_shed, worst_attack = shed, effective
+    worst_shed, worst_attack = worst_case(price_scenarios(
+        inst, design, scenarios or [EMPTY_ATTACK]))
     cost = build_cost(inst, design)
     return DesignSolution(
         design=design, objective=cost + inst.penalty * worst_shed,

@@ -89,16 +89,9 @@ class DesignVector:
 
     built: frozenset[int]
 
-    def is_built(self, edge_id: int) -> bool:
-        return edge_id in self.built
-
     @classmethod
     def from_ids(cls, ids) -> "DesignVector":
         return cls(frozenset(ids))
-
-    @classmethod
-    def existing_only(cls, inst: Instance) -> "DesignVector":
-        return cls(inst.existing_ids)
 
     @classmethod
     def all_edges(cls, inst: Instance) -> "DesignVector":
@@ -111,16 +104,9 @@ class AttackVector:
 
     disrupted: frozenset[int]
 
-    def is_disrupted(self, edge_id: int) -> bool:
-        return edge_id in self.disrupted
-
     @classmethod
     def from_ids(cls, ids) -> "AttackVector":
         return cls(frozenset(ids))
-
-    @classmethod
-    def empty(cls) -> "AttackVector":
-        return cls(frozenset())
 
 
 EMPTY_ATTACK = AttackVector(frozenset())
@@ -151,18 +137,8 @@ class ValidationReport:
         return not self.findings
 
 
-def design_is_valid(inst: Instance, design: DesignVector) -> bool:
-    """True when every existing edge is built and all built ids exist."""
-    ids = set(inst.edge_index)
-    return inst.existing_ids <= design.built <= ids
-
-
 def attack_cost(inst: Instance, attack: AttackVector) -> float:
     return sum(inst.edge(e).r for e in attack.disrupted)
-
-
-def attack_within_budget(inst: Instance, attack: AttackVector) -> bool:
-    return attack_cost(inst, attack) <= inst.budget + TOL
 
 
 def attack_consistent(design: DesignVector, attack: AttackVector) -> bool:

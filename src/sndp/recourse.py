@@ -3,7 +3,8 @@
 Given a design and an attack, the recourse problem scales every injection by
 a common factor (1 - shed) and routes flow on the surviving arcs.  Its row
 duals price one unit of relaxation of each flow-balance and capacity row and
-assemble into an optimality cut valid for every design.
+assemble into an optimality cut valid for every design.  ``price_scenarios``
+is the one scan that prices a list of attacks against a design.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from sndp.instances import (
     DesignVector,
     Instance,
     attack_consistent,
+    restrict_attack,
 )
+from sndp.maxflow import feasible_full_demand
 from sndp.simplex import LpModel, solve_lp
 
 CUT_TOL = 1e-9  # coefficient rounding used for cut deduplication
+WORST_TOL = 1e-12  # a shed must beat the worst so far by this to replace it
 
 FWD, REV = 0, 1  # direction keys: FWD is i->j as the edge is stored
 
@@ -127,6 +131,42 @@ def solve_recourse(inst: Instance, design: DesignVector,
     node_duals = {n.id: sol.dual(_row_balance(n.id)) for n in inst.nodes}
     return RecourseResult(shed=shed, flows=flows, node_duals=node_duals,
                           arc_duals=arc_duals, design=design, attack=attack)
+
+
+def price_scenarios(inst: Instance, design: DesignVector, attacks,
+                    deadline=None):
+    """Yield ``(attack, recourse)`` for each attack, in order, that sheds.
+
+    Each attack is restricted to the built edges; when the surviving network
+    still routes all demand (one max-flow) it sheds nothing and is skipped,
+    otherwise its recourse LP is solved on the restricted attack.
+    ``deadline`` (anything with a ``check(where)`` method) is checked before
+    each attack.
+    """
+    for attack in attacks:
+        if deadline is not None:
+            deadline.check("scenario pricing")
+        effective = restrict_attack(attack, design)
+        if not feasible_full_demand(inst, design, effective):
+            yield attack, solve_recourse(inst, design, effective)
+
+
+def worst_case(priced) -> tuple[float, AttackVector | None]:
+    """The worst shed over ``price_scenarios`` output and the attack on it.
+
+    The one rule every caller keeps: start at shed 0 with no attack, and let
+    an attack take over only when its shed beats the worst so far by more
+    than ``WORST_TOL``.  The reported attack is therefore the first one, in
+    scan order, to reach the worst shed, restricted to the design.  It is
+    None when nothing is shed or when that attack disrupts no built edge,
+    that is, when the worst shed needs no attack at all.
+    """
+    worst, worst_attack = 0.0, None
+    for _, result in priced:
+        if result.shed > worst + WORST_TOL:
+            worst = result.shed
+            worst_attack = result.attack if result.attack.disrupted else None
+    return worst, worst_attack
 
 
 def make_cut(result: RecourseResult, inst: Instance,

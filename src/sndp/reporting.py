@@ -17,9 +17,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from sndp.branch_and_bound import SolveTimeout
 from sndp.decomposition import (
@@ -40,8 +37,7 @@ from sndp.instances import (
     restrict_attack,
     total_demand,
 )
-from sndp.maxflow import feasible_full_demand
-from sndp.recourse import solve_recourse
+from sndp.recourse import price_scenarios, solve_recourse, worst_case
 from sndp.separation import budget_attacks, find_mincut_attack, find_worst_attack
 
 PASS_TOL = 1e-7
@@ -123,22 +119,14 @@ def verify_design(inst: Instance, design: DesignVector, *,
     positive shortage.
     """
     eps = inst.allowed_shed if allowed_shed is None else allowed_shed
-    built = design.built
-    count, exact = count_scenarios_restricted(inst, built, cap=enumeration_cap)
+    count, exact = count_scenarios(inst, design.built, cap=enumeration_cap)
     nominal = solve_recourse(inst, design, EMPTY_ATTACK).shed
-    worst, worst_attack = nominal, None
     if exact:
-        evaluated = 0
-        for attack in budget_attacks(inst, built, inst.budget,
-                                     cap=enumeration_cap):
-            evaluated += 1
-            if feasible_full_demand(inst, design, attack):
-                continue
-            shed = solve_recourse(inst, design, attack).shed
-            if shed > worst + 1e-12:
-                worst, worst_attack = shed, attack
+        priced = price_scenarios(inst, design, budget_attacks(
+            inst, design.built, inst.budget, cap=enumeration_cap))
+        worst, worst_attack = worst_case(priced) if count else (nominal, None)
         return VerificationReport(
-            design=design, attacks_enumerated=evaluated,
+            design=design, attacks_enumerated=count,
             worst_attack=worst_attack, worst_shed=worst, allowed_shed=eps,
             passed=worst <= eps + PASS_TOL, exact=True)
     # implicit path: exact for eps == 0, certificate-based otherwise
@@ -158,26 +146,6 @@ def verify_design(inst: Instance, design: DesignVector, *,
         worst_shed=oracle.severity, allowed_shed=eps,
         passed=oracle.severity <= eps + PASS_TOL, exact=True,
         note="worst case found by the exact separation oracle")
-
-
-def count_scenarios_restricted(inst: Instance, edge_ids, *, cap: int
-                               ) -> tuple[int, bool]:
-    """Count budget-feasible nonempty attacks over a subset of edges."""
-    costs = sorted(inst.edge(e).r for e in edge_ids)
-    if not costs or inst.budget < costs[0] - 1e-9:
-        return 0, True
-    if costs[-1] - costs[0] <= 1e-12:
-        per = costs[0]
-        most = min(len(costs), int((inst.budget + 1e-9) / per))
-        count = sum(math.comb(len(costs), k) for k in range(1, most + 1))
-        return (count, True) if count <= cap else (cap, False)
-    count = 0
-    try:
-        for _ in budget_attacks(inst, edge_ids, inst.budget, cap=cap):
-            count += 1
-    except Exception:
-        return cap, False
-    return count, True
 
 
 def sweep_tradeoff(inst: Instance, allowed_sheds, budgets, *,
@@ -208,12 +176,11 @@ def sweep_tradeoff(inst: Instance, allowed_sheds, budgets, *,
 
 def bench(instances, methods=("ef", "bd", "dsg"), *,
           time_limit: float = DEFAULT_CELL_TIMEOUT,
-          scenario_cap: int = 10 ** 7, threads: int = 1) -> list[BenchRow]:
-    """One solver run per (instance, method) cell.
+          scenario_cap: int = 10 ** 7) -> list[BenchRow]:
+    """One solver run per (instance, method) cell, run one after another so
+    the timing columns are clean.
 
-    ``instances`` is an iterable of (name, Instance) pairs.  Cells run
-    sequentially by default so the timing columns are clean; ``threads > 1``
-    fans cells out to a thread pool and downgrades the timings to indicative.
+    ``instances`` is an iterable of (name, Instance) pairs.
     """
     cells = []
     for name, inst in instances:
@@ -222,12 +189,10 @@ def bench(instances, methods=("ef", "bd", "dsg"), *,
             if method not in METHOD_SOLVERS:
                 raise ValueError(f"unknown method {method!r}")
             cells.append((name, inst, count, exact, method))
-
-    def run(cell):
-        name, inst, count, exact, method = cell
-        solver = METHOD_SOLVERS[method]
+    rows = []
+    for name, inst, count, exact, method in cells:
         try:
-            solution = solver(inst, time_limit=time_limit)
+            solution = METHOD_SOLVERS[method](inst, time_limit=time_limit)
             failure = ""
         except SolveTimeout:
             solution, failure = None, "timeout"
@@ -237,17 +202,11 @@ def bench(instances, methods=("ef", "bd", "dsg"), *,
             solution, failure = None, "infeasible"
         except RuntimeError as exc:
             solution, failure = None, f"error: {exc}"
-        return BenchRow(
+        rows.append(BenchRow(
             instance=name, edges=len(inst.edges), budget=inst.budget,
             scenario_count=count, scenario_exact=exact, method=method,
-            solution=solution, failure=failure)
-
-    if threads > 1:
-        warnings.warn("parallel bench cells share the interpreter: the "
-                      "timing columns are indicative only")
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, cells))
-    return [run(cell) for cell in cells]
+            solution=solution, failure=failure))
+    return rows
 
 
 def bench_csv(rows) -> str:

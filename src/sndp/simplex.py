@@ -129,12 +129,6 @@ class LpModel:
     def num_rows(self) -> int:
         return len(self.row_names)
 
-    def set_bounds(self, idx: int, lb: float, ub: float) -> None:
-        if lb > ub:
-            raise ValueError("lower bound exceeds upper bound")
-        self.lower[idx] = float(lb)
-        self.upper[idx] = float(ub)
-
     def copy(self) -> "LpModel":
         dup = LpModel(self.sense, self.name)
         dup.var_names = list(self.var_names)

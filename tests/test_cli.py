@@ -133,9 +133,30 @@ def test_subcommand_help_lists_flags(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--method", "--oracle", "--shed-cap", "--threads",
-                 "--scenario-cap", "--timeout", "--seed"):
+    for flag in ("--method", "--shed-cap", "--scenario-cap", "--timeout"):
         assert flag in text
+
+
+def test_removed_flags_are_usage_errors(paths, tmp_path):
+    pa, _, _ = paths
+    design = tmp_path / "design.json"
+    design.write_text('{"built": [0, 1, 2]}')
+    commands = (
+        ["solve", "-i", str(pa)],
+        ["verify", "-i", str(pa), "--design", str(design)],
+        ["sweep", "-i", str(pa), "--eps", "0", "--budgets", "1"],
+        ["bench", "-i", str(pa)],
+    )
+    for base in commands:
+        for extra in (["--threads", "2"], ["--oracle", "general"],
+                      ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(base + extra)
+            assert exc.value.code == 2
+    out = tmp_path / "gen.json"
+    assert main(["gen", "--family", "grid", "--nodes", "4", "--seed", "7",
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["edges"]
 
 
 def test_iteration_log_written(paths):

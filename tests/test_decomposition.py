@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import sndp.decomposition
 from sndp.branch_and_bound import solve_milp
 from sndp.decomposition import (
     InfeasibleDesignError,
@@ -37,11 +38,53 @@ def test_scenario_enumeration(tri3a):
     assert count_scenarios(two) == (6, True)
     big = dataclasses.replace(tri3a, budget=3.0)
     assert count_scenarios(big, cap=5) == (5, False)
+    # an edge subset counts only the attacks on those edges
+    assert count_scenarios(two, [E12, E13]) == (3, True)
+    assert count_scenarios(two, []) == (0, True)
+    assert count_scenarios(big, [E12, E23], cap=2) == (2, False)
+    # non-uniform attack costs are counted by enumeration, up to the cap
+    mixed = dataclasses.replace(two, edges=tuple(
+        dataclasses.replace(e, r=2.0) if e.id == E13 else e
+        for e in two.edges))
+    # budget 2 admits {12}, {23}, {13} and {12, 23}
+    assert count_scenarios(mixed) == (4, True)
+    assert count_scenarios(mixed, [E12, E13]) == (2, True)
+    assert count_scenarios(mixed, cap=3) == (3, False)
+    assert count_scenarios(mixed, [E12, E23], cap=2) == (2, False)
+
+
+def test_count_propagates_non_cap_errors(tri3a, monkeypatch):
+    mixed = dataclasses.replace(tri3a, edges=tuple(
+        dataclasses.replace(e, r=2.0) if e.id == E13 else e
+        for e in tri3a.edges))
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken enumeration")
+        yield
+
+    monkeypatch.setattr(sndp.decomposition, "budget_attacks", broken)
+    with pytest.raises(ValueError, match="broken enumeration"):
+        count_scenarios(mixed)
 
 
 def test_enumeration_cap(tri3a):
     with pytest.raises(ScenarioCapError):
         solve_benders(dataclasses.replace(tri3a, budget=3.0), scenario_cap=2)
+
+
+def test_benders_cap_checked_before_enumeration(tri3a, monkeypatch):
+    # uniform attack costs: the closed-form count (7) already exceeds the cap
+    started = []
+
+    def enumerate_nothing(*args, **kwargs):
+        started.append(args)
+        return iter(())
+
+    monkeypatch.setattr(sndp.decomposition, "budget_attacks",
+                        enumerate_nothing)
+    with pytest.raises(ScenarioCapError):
+        solve_benders(dataclasses.replace(tri3a, budget=3.0), scenario_cap=2)
+    assert started == []
 
 
 def test_master_with_fixture_cuts_is_a_relaxation(tri3a):
@@ -114,12 +157,6 @@ def test_delayed_zero_budget_trivial_instance(tri3a):
     assert zero.build_cost == pytest.approx(2.0, abs=1e-6)
 
 
-def test_delayed_oracle_variants_agree(tri3b):
-    objectives = [solve_delayed(tri3b, oracle=kind).objective
-                  for kind in ("auto", "strong", "general")]
-    assert max(objectives) - min(objectives) <= 1e-6
-
-
 def test_delayed_iterations_bounded_by_scenarios(tri3a, tri3b):
     for inst in (tri3a, tri3b):
         sol = solve_delayed(inst)
@@ -176,13 +213,6 @@ def test_timings_are_recorded(tri3b):
     assert sol.timings["total"] >= 0
     assert sol.timings["rmp"] + sol.timings["ndp"] + sol.timings["sp"] \
         <= sol.timings["total"] + 0.1
-
-
-def test_threaded_recheck_matches_serial(tri3b):
-    serial = solve_benders(tri3b, threads=1)
-    threaded = solve_benders(tri3b, threads=4)
-    assert serial.objective == pytest.approx(threaded.objective, abs=1e-9)
-    assert serial.design == threaded.design
 
 
 def test_time_limit_raises(tri3b):

@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from sndp.decomposition import solve_delayed, solve_exhaustive
+from sndp.decomposition import solve_benders, solve_delayed, solve_exhaustive
+from sndp.extensive import solve_extensive
 from sndp.instances import (
     DesignVector,
     GeneratorSpec,
@@ -44,6 +45,23 @@ def test_verify_zero_budget_reports_nominal(tri3b):
     report = verify_design(inst, design)
     assert report.worst_shed == pytest.approx(0.4, abs=1e-9)
     assert report.worst_attack is None
+
+
+def test_scans_agree_on_the_worst_case(tri3b):
+    # verify_design, brute, ef and bd price scenarios through one scan and
+    # one worst-case rule, so they report the same worst shed and attack
+    grid = dataclasses.replace(generate_instance(
+        GeneratorSpec("grid", 6, seed=1, placement_seed=1)), budget=1.0)
+    for inst in (tri3b, grid):
+        brute = solve_exhaustive(inst)
+        assert brute.worst_shed > 0.0
+        report = verify_design(inst, brute.design)
+        assert report.worst_shed == pytest.approx(brute.worst_shed, abs=1e-9)
+        assert report.worst_attack == brute.worst_attack
+        for sol in (solve_extensive(inst), solve_benders(inst)):
+            assert sol.design == brute.design
+            assert sol.worst_shed == pytest.approx(brute.worst_shed, abs=1e-9)
+            assert sol.worst_attack == brute.worst_attack
 
 
 def test_verify_oracle_path_matches_enumeration(tri3b):
