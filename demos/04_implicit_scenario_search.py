@@ -38,9 +38,8 @@ print(f"phase seconds: master {sol.timings['rmp']:.2f}, "
 
 print("\nper-round log:")
 for record in sol.iteration_log:
-    severity = record["oracle_severity"]
     print(f"  t={record['t']:2d} master={record['master_objective']:8.3f} "
-          f"oracle={severity if severity is not None else '-':>8} "
+          f"oracle shed={record['oracle_severity']:6.3f} "
           f"cuts+={record['cuts_added']}")
 
 report = verify_design(inst, sol.design, enumeration_cap=10 ** 5)

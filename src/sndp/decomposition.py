@@ -29,15 +29,12 @@ from sndp.instances import (
     DesignVector,
     EMPTY_ATTACK,
     Instance,
-    restrict_attack,
-    total_demand,
     validate,
 )
 from sndp.recourse import (
     BendersCut,
     make_cut,
     price_scenarios,
-    solve_recourse,
     worst_case,
 )
 from sndp.separation import (
@@ -287,50 +284,21 @@ def solve_benders(inst: Instance, *, shed_cap: float | None = None,
 # Delayed scenario generation with the implicit oracle
 
 
-@dataclasses.dataclass(frozen=True)
-class _SeparationRound:
-    violated: AttackVector | None   # attack to list, or None to terminate
-    severity: float                 # oracle objective, for the iteration log
-    exact_worst: float | None       # exact worst shed if this round proved it
-    exact_attack: AttackVector | None
-
-
-def _separate(inst, design, shed_var, shed_cap, state, deadline
-              ) -> _SeparationRound:
+def _separate(inst, design, bound, state, deadline):
     """One oracle round against the incumbent design.
 
-    The min-cut oracle runs first and separates on a demand threshold.  An
-    attack it returns is accepted only when its recourse shed actually
-    violates the current bound; otherwise the exact oracle decides, because a
-    cut below total demand lower-bounds the shed but does not maximize it.
+    The min-cut oracle returns an attack that sheds more than ``bound``, to
+    be listed.  When it finds none, the design is certified; for a positive
+    bound the Dinkelbach loop then prices the exact worst shed to report.
     """
-    demand = total_demand(inst)
-    bound = shed_cap if shed_cap is not None else shed_var
-    threshold = (1.0 - bound) * demand
     t0 = time.perf_counter()
     try:
-        result = find_mincut_attack(inst, design, threshold,
+        result = find_mincut_attack(inst, design, bound,
                                     deadline=deadline.stamp)
-        if result.attack is None and bound <= VIOLATION_TOL:
-            # every attack leaves a cut covering total demand, which is
-            # exactly "no attack sheds anything": certified
-            return _SeparationRound(None, result.severity, 0.0, None)
-        if result.attack is not None:
-            shed = solve_recourse(
-                inst, design, restrict_attack(result.attack, design)).shed
-            if shed > bound + VIOLATION_TOL:
-                return _SeparationRound(result.attack, result.severity,
-                                        None, None)
-        # For a positive shed bound the cut threshold cannot certify
-        # termination (scaling at the balance rows lets stranded supply push
-        # the shed above the cut ratio), and a returned attack need not
-        # maximize the shed: the exact oracle decides.
-        result = find_worst_attack(inst, design, deadline=deadline.stamp)
-        if result.severity > bound + VIOLATION_TOL:
-            return _SeparationRound(result.attack, result.severity,
-                                    result.severity, result.attack)
-        return _SeparationRound(None, result.severity, result.severity,
-                                result.attack)
+        if result.attack is None and bound > VIOLATION_TOL:
+            return None, find_worst_attack(inst, design,
+                                           deadline=deadline.stamp)
+        return result.attack, result
     finally:
         state.timers["ndp"] += time.perf_counter() - t0
 
@@ -348,21 +316,19 @@ def solve_delayed(inst: Instance, *, shed_cap: float | None = None,
         deadline.check("master solve")
         design, shed_var, master_obj = _solve_master(
             inst, state, shed_cap, deadline)
-        round_ = _separate(inst, design, shed_var, shed_cap, state, deadline)
-        if round_.violated is None:
-            state.record(master_obj, round_.severity, 0)
-            worst_shed = round_.exact_worst if round_.exact_worst is not None \
-                else 0.0
-            worst_attack = (
-                restrict_attack(round_.exact_attack, design)
-                if round_.exact_attack is not None
-                and worst_shed > VIOLATION_TOL else None)
-            return _finish(inst, state, design, worst_shed, worst_attack, "dsg")
-        state.add_scenario(round_.violated)
-        threshold = shed_cap if shed_cap is not None else shed_var
+        bound = shed_cap if shed_cap is not None else shed_var
+        violated, result = _separate(inst, design, bound, state, deadline)
+        if violated is None:
+            state.record(master_obj, result.severity, 0)
+            # the worst_case rule: no attack when the worst shed needs none
+            worst_attack = result.attack if result.attack is not None \
+                and result.attack.disrupted else None
+            return _finish(inst, state, design, result.severity, worst_attack,
+                           "dsg")
+        state.add_scenario(violated)
         added, _, _ = _recheck_scenarios(
-            inst, state, design, threshold, deadline)
-        state.record(master_obj, round_.severity, added)
+            inst, state, design, bound, deadline)
+        state.record(master_obj, result.severity, added)
         if added == 0:
             raise RuntimeError(
                 "separation reported a violated scenario but no cut was "

@@ -2,7 +2,7 @@
 
 * ``verify_design`` certifies a design against every budget-feasible attack,
   by exact enumeration when the scenario space is small and through the
-  min-cut oracle otherwise.
+  exact worst-attack oracle otherwise.
 * ``bench`` runs each solver on each instance and renders one CSV row per
   cell with a per-phase timing breakdown; cells that exceed the timeout are
   marked "x" and scenario counts beyond the cap are written as ">N" lower
@@ -34,11 +34,9 @@ from sndp.instances import (
     DesignVector,
     EMPTY_ATTACK,
     Instance,
-    restrict_attack,
-    total_demand,
 )
-from sndp.recourse import price_scenarios, solve_recourse, worst_case
-from sndp.separation import budget_attacks, find_mincut_attack, find_worst_attack
+from sndp.recourse import price_scenarios, worst_case
+from sndp.separation import budget_attacks, find_worst_attack
 
 PASS_TOL = 1e-7
 DEFAULT_VERIFY_CAP = 20000
@@ -113,36 +111,23 @@ def verify_design(inst: Instance, design: DesignVector, *,
     """Certify the worst shed of a design over all budget-feasible attacks.
 
     Small attack spaces are enumerated exactly, with each attack screened by
-    a max-flow solve before any LP runs.  Larger spaces are decided by the
-    separation oracles instead: the min-cut oracle settles full-demand
-    survivability outright, and the exact worst-attack oracle prices any
-    positive shortage.
+    a max-flow solve before any LP runs.  Larger spaces are priced by the
+    exact worst-attack oracle instead.
     """
     eps = inst.allowed_shed if allowed_shed is None else allowed_shed
     count, exact = count_scenarios(inst, design.built, cap=enumeration_cap)
-    nominal = solve_recourse(inst, design, EMPTY_ATTACK).shed
     if exact:
-        priced = price_scenarios(inst, design, budget_attacks(
-            inst, design.built, inst.budget, cap=enumeration_cap))
-        worst, worst_attack = worst_case(priced) if count else (nominal, None)
+        attacks = budget_attacks(inst, design.built, inst.budget,
+                                 cap=enumeration_cap) if count else [EMPTY_ATTACK]
+        worst, worst_attack = worst_case(price_scenarios(inst, design, attacks))
         return VerificationReport(
             design=design, attacks_enumerated=count,
             worst_attack=worst_attack, worst_shed=worst, allowed_shed=eps,
             passed=worst <= eps + PASS_TOL, exact=True)
-    # implicit path: exact for eps == 0, certificate-based otherwise
-    demand = total_demand(inst)
-    result = find_mincut_attack(inst, design, (1.0 - eps) * demand)
-    if result.attack is None and eps <= PASS_TOL:
-        return VerificationReport(
-            design=design, attacks_enumerated=0, worst_attack=None,
-            worst_shed=max(nominal, 0.0), allowed_shed=eps,
-            passed=nominal <= eps + PASS_TOL, exact=True,
-            note="certified by the min-cut separation oracle")
     oracle = find_worst_attack(inst, design)
-    attack = oracle.attack if oracle.severity > PASS_TOL else None
     return VerificationReport(
         design=design, attacks_enumerated=0,
-        worst_attack=restrict_attack(attack, design) if attack else None,
+        worst_attack=oracle.attack if oracle.attack.disrupted else None,
         worst_shed=oracle.severity, allowed_shed=eps,
         passed=oracle.severity <= eps + PASS_TOL, exact=True,
         note="worst case found by the exact separation oracle")

@@ -1,18 +1,21 @@
 """Separation oracles: worst budget-feasible attack against a fixed design.
 
-Three routes:
+By Gale's feasibility theorem the recourse shed of an attack A is
+1 - min over node sets S with b(S) > 0 of u_A(delta(S)) / b(S), where
+u_A(delta(S)) is the surviving capacity leaving S.  Put S on the source side
+of the network augmented with a source arc of capacity b per supply node and
+a terminal arc of capacity -b per demand node, scale those arcs by
+lam = 1 - bound, and the cut costs lam * (D - b(S)) + u_A(delta(S)) for
+total demand D.  It drops below lam * D exactly when A sheds more than
+``bound`` on S, so one min-cut MILP over attacks and sides decides whether
+any attack sheds more than a given bound:
 
-* a general MILP over attack binaries and boxed recourse duals whose optimum
-  is the maximal shed fraction;
-* a min-cut MILP on the augmented network that looks for an attack leaving a
-  cut below a demand threshold (faster, certifies survivability);
-* exhaustive enumeration as the test oracle.
-
-The general MILP linearizes the product of attack binaries with dual rows by
-boxing the duals; the box is ample for instances with integer-valued
-injections and capacities, and every result is cross-checked by re-solving
-the recourse LP on the returned attack so an insufficient box surfaces as an
-error instead of a silently wrong answer.
+* ``find_mincut_attack`` answers that question and returns the shed the
+  violating cut proves;
+* ``find_worst_attack`` is Dinkelbach's ratio loop over it: raise the bound
+  to each shed found until no attack beats it, which gives the exact worst
+  shed;
+* exhaustive enumeration is the test oracle.
 """
 
 from __future__ import annotations
@@ -26,30 +29,23 @@ from sndp.instances import (
     DesignVector,
     EMPTY_ATTACK,
     Instance,
-    total_demand,
 )
 from sndp.recourse import solve_recourse
 from sndp.simplex import LpModel
 
 SEV_TOL = 1e-6
-DUAL_BOX = 2.0  # box on recourse duals inside the general MILP
 
 
 class SeparationError(RuntimeError):
-    """Oracle failure, including a detected insufficient dual box."""
+    """Oracle failure, including an attack enumeration over its cap."""
 
 
 @dataclasses.dataclass(frozen=True)
 class SeparationResult:
-    """Worst attack found (or none) and its severity.
-
-    ``severity`` is the maximal shed fraction for the general and brute-force
-    oracles, and the residual cut capacity for the min-cut oracle.
-    """
+    """Attack found (or none) and its severity, a shed fraction in [0, 1]."""
 
     attack: AttackVector | None
     severity: float
-    mode: str
 
 
 def _built_edges(inst: Instance, design: DesignVector):
@@ -57,73 +53,17 @@ def _built_edges(inst: Instance, design: DesignVector):
 
 
 # ---------------------------------------------------------------------------
-# General oracle: bilevel-to-MILP reformulation over boxed duals
+# Min-cut oracle on the augmented network
 
 
-def build_worst_attack_milp(inst: Instance, design: DesignVector) -> MilpModel:
-    """MILP maximizing the recourse dual objective over budget-feasible attacks.
-
-    Variables: one attack binary per built edge, one boxed potential per node
-    and one boxed capacity price per direction of every built edge.  Rows for
-    attacked directions are relaxed by the box radius so they never bind.
-    """
-    model = LpModel("max", name="worst-attack")
-    built = _built_edges(inst, design)
-    for e in built:
-        model.add_var(f"attack[{e.id}]", lb=0.0, ub=1.0)
-    for n in inst.nodes:
-        model.add_var(f"potential[{n.id}]", lb=-DUAL_BOX, ub=DUAL_BOX, obj=n.b)
-    for e in built:
-        model.add_var(f"price[{e.id}:fwd]", lb=-DUAL_BOX, ub=0.0, obj=e.u)
-        model.add_var(f"price[{e.id}:rev]", lb=-DUAL_BOX, ub=0.0, obj=e.u)
-    for e in built:
-        for tag, tail, head in (("fwd", e.i, e.j), ("rev", e.j, e.i)):
-            model.add_row(
-                f"dualrow[{e.id}:{tag}]",
-                {f"potential[{tail}]": 1.0, f"potential[{head}]": -1.0,
-                 f"price[{e.id}:{tag}]": 1.0, f"attack[{e.id}]": -DUAL_BOX},
-                "<=", 0.0)
-    model.add_row(
-        "normalization",
-        {f"potential[{n.id}]": n.b for n in inst.nodes if n.b != 0.0},
-        "<=", 1.0)
-    if built:
-        model.add_row(
-            "budget", {f"attack[{e.id}]": e.r for e in built}, "<=", inst.budget)
-    binaries = tuple(model.var_id(f"attack[{e.id}]") for e in built)
-    return MilpModel(model, binaries)
-
-
-def find_worst_attack(inst: Instance, design: DesignVector, *,
-                      deadline: float | None = None) -> SeparationResult:
-    """Budget-feasible attack maximizing the shed fraction (general MILP)."""
-    milp = build_worst_attack_milp(inst, design)
-    sol = solve_milp(milp, deadline=deadline)
-    if sol.status != "optimal":  # pragma: no cover - model is always feasible
-        raise SeparationError(f"worst-attack MILP ended {sol.status}")
-    attacked = frozenset(
-        e.id for e in _built_edges(inst, design)
-        if sol.value(f"attack[{e.id}]") > 0.5)
-    attack = AttackVector(attacked)
-    check = solve_recourse(inst, design, attack).shed
-    if abs(check - sol.objective) > SEV_TOL:
-        raise SeparationError(
-            f"oracle severity {sol.objective:.9g} disagrees with recourse "
-            f"value {check:.9g}; dual box {DUAL_BOX} is too small for this "
-            "instance")
-    return SeparationResult(attack=attack, severity=check, mode="general")
-
-
-# ---------------------------------------------------------------------------
-# Strong oracle: minimal residual cut on the augmented network
-
-
-def build_mincut_attack_milp(inst: Instance, design: DesignVector) -> MilpModel:
+def build_mincut_attack_milp(inst: Instance, design: DesignVector,
+                             scale: float = 1.0) -> MilpModel:
     """MILP minimizing the post-attack cut capacity of the augmented network.
 
     Node-side binaries place each node on the source or terminal side;
     per-arc cut indicators are continuous in [0, 1] yet take binary values at
-    any optimum.  Augmentation arcs cannot be attacked.
+    any optimum.  Augmentation arcs cannot be attacked; their capacities are
+    the injections times ``scale``.
     """
     model = LpModel("min", name="mincut-attack")
     built = _built_edges(inst, design)
@@ -136,9 +76,11 @@ def build_mincut_attack_milp(inst: Instance, design: DesignVector) -> MilpModel:
         model.add_var(f"cut[{e.id}:rev]", lb=0.0, ub=1.0, obj=e.u)
     for n in inst.nodes:
         if n.b > 0:
-            model.add_var(f"cut[source:{n.id}]", lb=0.0, ub=1.0, obj=n.b)
+            model.add_var(f"cut[source:{n.id}]", lb=0.0, ub=1.0,
+                          obj=scale * n.b)
         elif n.b < 0:
-            model.add_var(f"cut[sink:{n.id}]", lb=0.0, ub=1.0, obj=-n.b)
+            model.add_var(f"cut[sink:{n.id}]", lb=0.0, ub=1.0,
+                          obj=-scale * n.b)
     for e in built:
         for tag, tail, head in (("fwd", e.i, e.j), ("rev", e.j, e.i)):
             model.add_row(
@@ -167,24 +109,47 @@ def build_mincut_attack_milp(inst: Instance, design: DesignVector) -> MilpModel:
 
 
 def find_mincut_attack(inst: Instance, design: DesignVector,
-                       threshold: float | None = None, *,
+                       bound: float = 0.0, *,
                        deadline: float | None = None) -> SeparationResult:
-    """Attack minimizing the residual cut capacity, reported when the cut
-    drops below ``threshold`` (default: total demand)."""
-    if threshold is None:
-        threshold = total_demand(inst)
-    milp = build_mincut_attack_milp(inst, design)
+    """Attack shedding more than ``bound`` (a shed fraction), or None.
+
+    The severity is the shed fraction the optimal cut proves for its attack,
+    a lower bound on that attack's shed; an attack is returned when it beats
+    ``bound`` by more than ``SEV_TOL``.
+    """
+    milp = build_mincut_attack_milp(inst, design, 1.0 - bound)
     sol = solve_milp(milp, deadline=deadline)
     if sol.status != "optimal":  # pragma: no cover - model is always feasible
         raise SeparationError(f"min-cut attack MILP ended {sol.status}")
-    severity = sol.objective
-    if severity >= threshold - SEV_TOL:
-        return SeparationResult(attack=None, severity=severity, mode="strong")
+    built = _built_edges(inst, design)
+    source_side = {n.id for n in inst.nodes
+                   if sol.value(f"side[{n.id}]") < 0.5}
     attacked = frozenset(
-        e.id for e in _built_edges(inst, design)
-        if sol.value(f"attack[{e.id}]") > 0.5)
-    return SeparationResult(attack=AttackVector(attacked), severity=severity,
-                            mode="strong")
+        e.id for e in built if sol.value(f"attack[{e.id}]") > 0.5)
+    injection = sum(n.b for n in inst.nodes if n.id in source_side)
+    crossing = sum(e.u for e in built
+                   if e.id not in attacked
+                   and (e.i in source_side) != (e.j in source_side))
+    severity = max(0.0, 1.0 - crossing / injection) if injection > 0 else 0.0
+    if severity <= bound + SEV_TOL:
+        return SeparationResult(attack=None, severity=severity)
+    return SeparationResult(attack=AttackVector(attacked), severity=severity)
+
+
+def find_worst_attack(inst: Instance, design: DesignVector, *,
+                      deadline: float | None = None) -> SeparationResult:
+    """Budget-feasible attack maximizing the shed fraction (Dinkelbach loop).
+
+    Starts at bound 0 with the empty attack and raises the bound to the shed
+    of each attack the min-cut oracle finds, until it finds none.
+    """
+    worst = SeparationResult(attack=EMPTY_ATTACK, severity=0.0)
+    while True:
+        result = find_mincut_attack(inst, design, worst.severity,
+                                    deadline=deadline)
+        if result.attack is None:
+            return worst
+        worst = result
 
 
 # ---------------------------------------------------------------------------
@@ -219,4 +184,4 @@ def find_worst_attack_bruteforce(inst: Instance, design: DesignVector, *,
         shed = solve_recourse(inst, design, attack).shed
         if shed > best + SEV_TOL:
             best, best_attack = shed, attack
-    return SeparationResult(attack=best_attack, severity=best, mode="bruteforce")
+    return SeparationResult(attack=best_attack, severity=best)

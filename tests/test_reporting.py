@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import sndp.recourse
 from sndp.decomposition import solve_benders, solve_delayed, solve_exhaustive
 from sndp.extensive import solve_extensive
 from sndp.instances import (
@@ -49,10 +50,11 @@ def test_verify_zero_budget_reports_nominal(tri3b):
 
 def test_scans_agree_on_the_worst_case(tri3b):
     # verify_design, brute, ef and bd price scenarios through one scan and
-    # one worst-case rule, so they report the same worst shed and attack
-    grid = dataclasses.replace(generate_instance(
-        GeneratorSpec("grid", 6, seed=1, placement_seed=1)), budget=1.0)
-    for inst in (tri3b, grid):
+    # one worst-case rule, so they report the same worst shed and attack;
+    # dsg reports the oracle's attack, which may differ at the same shed,
+    # but keeps the rule that an attack disrupting no built edge is None
+    grid = generate_instance(GeneratorSpec("grid", 6, seed=1, placement_seed=1))
+    for inst in (tri3b, dataclasses.replace(grid, budget=1.0)):
         brute = solve_exhaustive(inst)
         assert brute.worst_shed > 0.0
         report = verify_design(inst, brute.design)
@@ -62,6 +64,54 @@ def test_scans_agree_on_the_worst_case(tri3b):
             assert sol.design == brute.design
             assert sol.worst_shed == pytest.approx(brute.worst_shed, abs=1e-9)
             assert sol.worst_attack == brute.worst_attack
+        dsg = solve_delayed(inst)
+        assert dsg.objective == pytest.approx(brute.objective, abs=1e-6)
+        assert dsg.worst_shed == pytest.approx(brute.worst_shed, abs=1e-6)
+        assert (dsg.worst_attack is None) == (brute.worst_attack is None)
+        if dsg.worst_attack is not None:
+            assert dsg.worst_attack.disrupted <= dsg.design.built
+    # at budget 2 the optimum builds nothing, so no attack disrupts anything
+    bare = dataclasses.replace(grid, budget=2.0)
+    bd, dsg = solve_benders(bare), solve_delayed(bare)
+    assert dsg.design == bd.design == DesignVector.from_ids([])
+    assert dsg.worst_shed == bd.worst_shed == pytest.approx(1.0)
+    assert dsg.worst_attack is None and bd.worst_attack is None
+
+
+def test_verify_enumeration_solves_no_lp_when_screens_pass(tri3a, monkeypatch):
+    # every attack on fully built tri3a is screened out by max-flow, and an
+    # empty attack space is priced through the same scan
+    calls = []
+    original = sndp.recourse.solve_lp
+    monkeypatch.setattr(sndp.recourse, "solve_lp",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    report = verify_design(tri3a, DesignVector.all_edges(tri3a))
+    assert report.passed and report.attacks_enumerated == 3
+    assert calls == []
+    unattackable = dataclasses.replace(tri3a, budget=0.0)
+    report = verify_design(unattackable, DesignVector.from_ids([E13]))
+    assert report.attacks_enumerated == 0
+    assert report.worst_shed == 0.0 and report.worst_attack is None
+    assert calls == []
+
+
+def _scaled(inst, factor):
+    return dataclasses.replace(
+        inst,
+        nodes=tuple(dataclasses.replace(n, b=n.b * factor) for n in inst.nodes),
+        edges=tuple(dataclasses.replace(e, u=e.u * factor) for e in inst.edges))
+
+
+def test_scaled_data_prices_like_the_original(tri3b):
+    # shed fractions do not depend on the units of b and u
+    small = _scaled(tri3b, 0.01)
+    assert solve_delayed(small).objective == pytest.approx(45.0, abs=1e-6)
+    assert solve_delayed(small, shed_cap=0.5).build_cost \
+        == pytest.approx(5.0, abs=1e-6)
+    report = verify_design(small, DesignVector.all_edges(small),
+                           enumeration_cap=1)
+    assert report.worst_shed == pytest.approx(0.4, abs=1e-6)
+    assert not report.passed
 
 
 def test_verify_oracle_path_matches_enumeration(tri3b):
@@ -169,3 +219,12 @@ def test_iteration_log_lines(tri3b):
     record = json.loads(lines[0])
     assert {"t", "master_objective", "oracle_severity", "scenarios",
             "cuts_added"} <= set(record)
+
+
+def test_oracle_severity_is_a_shed_fraction():
+    ring = dataclasses.replace(generate_instance(
+        GeneratorSpec("replicated", 6, replication=3, seed=1)), budget=2.0)
+    for sol in (solve_delayed(ring), solve_delayed(ring, shed_cap=0.1)):
+        severities = [rec["oracle_severity"] for rec in sol.iteration_log]
+        assert len(severities) > 1
+        assert all(0.0 <= s <= 1.0 for s in severities), severities

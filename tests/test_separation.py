@@ -10,7 +10,6 @@ from sndp.instances import (
     GeneratorSpec,
     attack_cost,
     generate_instance,
-    total_demand,
 )
 from sndp.maxflow import feasible_full_demand
 from sndp.recourse import solve_recourse
@@ -80,17 +79,27 @@ def test_bruteforce_oracle_fixtures(tri3a, tri3b):
 
 def test_strong_oracle_fixtures(tri3a, tri3b):
     allx = DesignVector.all_edges(tri3a)
-    hit = find_mincut_attack(tri3b, allx, 10.0)
-    assert hit.severity == pytest.approx(6.0, abs=1e-6)
+    hit = find_mincut_attack(tri3b, allx)
+    assert hit.severity == pytest.approx(0.4, abs=1e-7)  # cut 6 of demand 10
     assert hit.attack is not None
     assert not feasible_full_demand(tri3b, allx, hit.attack)
-    miss = find_mincut_attack(tri3a, allx, 10.0)
-    assert miss.severity == pytest.approx(10.0, abs=1e-6)
+    miss = find_mincut_attack(tri3a, allx)
+    assert miss.severity == pytest.approx(0.0, abs=1e-7)
     assert miss.attack is None
-    bare = find_mincut_attack(tri3a, DesignVector.from_ids([]), 10.0)
-    assert bare.severity == pytest.approx(0.0, abs=1e-6)
+    bare = find_mincut_attack(tri3a, DesignVector.from_ids([]))
+    assert bare.severity == pytest.approx(1.0, abs=1e-7)
     assert bare.attack is not None
     assert attack_cost(tri3a, bare.attack) <= tri3a.budget + 1e-9
+
+
+def test_strong_oracle_bound(tri3b):
+    # an attack is returned exactly when some attack sheds more than the bound
+    allx = DesignVector.all_edges(tri3b)
+    below = find_mincut_attack(tri3b, allx, 0.39)
+    assert below.attack is not None
+    assert below.severity == pytest.approx(0.4, abs=1e-9)
+    assert find_mincut_attack(tri3b, allx, 0.4).attack is None
+    assert find_mincut_attack(tri3b, allx, 1.0).attack is None
 
 
 def test_strong_model_from_milp_module(tri3b):
@@ -99,8 +108,22 @@ def test_strong_model_from_milp_module(tri3b):
     assert sol.objective == pytest.approx(6.0, abs=1e-6)
 
 
+def rescaled(inst, rng):
+    """A copy with b and u scaled by one factor in [0.01, 0.2] and attack
+    costs drawn from {0.5, 1, 1.5}, so no datum need be integral."""
+    factor = rng.uniform(0.01, 0.2)
+    nodes = tuple(dataclasses.replace(n, b=n.b * factor) for n in inst.nodes)
+    edges = tuple(dataclasses.replace(e, u=e.u * factor,
+                                      r=rng.choice((0.5, 1.0, 1.5)))
+                  for e in inst.edges)
+    return dataclasses.replace(inst, nodes=nodes, edges=edges)
+
+
 def test_oracles_agree_on_seeded_instances():
-    for inst, design in small_instances(50):
+    rng = random.Random(99)
+    pool = list(small_instances(50))
+    pool += [(rescaled(inst, rng), design) for inst, design in pool]
+    for inst, design in pool:
         general = find_worst_attack(inst, design)
         brute = find_worst_attack_bruteforce(inst, design)
         assert general.severity == pytest.approx(brute.severity, abs=1e-6)
@@ -110,14 +133,12 @@ def test_oracles_agree_on_seeded_instances():
 
 def test_strong_oracle_sound_and_complete():
     for inst, design in small_instances(50):
-        demand = total_demand(inst)
-        result = find_mincut_attack(inst, design, demand)
+        result = find_mincut_attack(inst, design)
         if result.attack is not None:
             assert not feasible_full_demand(inst, design, result.attack)
             assert attack_cost(inst, result.attack) <= inst.budget + 1e-9
             shed = solve_recourse(inst, design, result.attack).shed
-            if demand > 1e-9:
-                assert shed >= (demand - result.severity) / demand - 1e-7
+            assert shed >= result.severity - 1e-7
         else:
             for attack in budget_attacks(inst, design.built, inst.budget):
                 assert feasible_full_demand(inst, design, attack)
