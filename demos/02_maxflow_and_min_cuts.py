@@ -1,9 +1,11 @@
 """Max-flow and min-cut on the source/terminal-augmented network.
 
 Every built, undisrupted edge becomes a pair of directed arcs; a super
-source feeds supplies and a super terminal drains demands.  The max flow
-says how much demand the surviving network can route, and the residual
-reachability certifies a matching minimum cut.
+source feeds supplies and a super terminal drains demands.  Nodes are
+numbered by position, with the source and the terminal last, and each arc
+is a (tail, head, capacity) tuple.  The max flow says how much demand the
+surviving network can route, and the nodes still reachable from the source
+in the residual graph are the source side of a matching minimum cut.
 
     python3 demos/02_maxflow_and_min_cuts.py
 """
@@ -29,6 +31,13 @@ triangle = Instance(
     penalty=100.0,
 )
 design = DesignVector.all_edges(triangle)
+labels = [str(n.id) for n in triangle.nodes] + ["s", "t"]
+
+
+def arc_text(arc):
+    tail, head, capacity = arc
+    return f"{labels[tail]}->{labels[head]} ({capacity:g})"
+
 
 print(f"total demand: {total_demand(triangle)}")
 for attacked in ([], [0], [2]):
@@ -36,18 +45,21 @@ for attacked in ([], [0], [2]):
     graph = build_augmented(triangle, design, attack)
     result = max_flow(graph)
     label = f"attack {attacked or 'none'}"
+    crossing = [arc for arc in graph.arcs
+                if arc[0] in result.source_side
+                and arc[1] not in result.source_side]
     print(f"\n{label}: max flow {result.value:g}, "
-          f"min cut {result.cut.capacity:g}")
-    print(f"  crossing arcs: {[str(t) for t in result.cut.crossing]}")
+          f"min cut {sum(arc[2] for arc in crossing):g}")
+    print(f"  crossing arcs: {[arc_text(arc) for arc in crossing]}")
     print(f"  exhaustive min cut agrees: "
           f"{abs(min_cut_bruteforce(graph) - result.value) < 1e-9}")
     print(f"  all demand routable: "
           f"{feasible_full_demand(triangle, design, attack)}")
 
-# the graph dump is handy when debugging a surprising cut
+# the arc list is handy when debugging a surprising cut
 print("\naugmented arc list under attack on edge 0:")
-print(build_augmented(triangle, design, AttackVector.from_ids([0])).dump(),
-      end="")
+for arc in build_augmented(triangle, design, AttackVector.from_ids([0])).arcs:
+    print(f"  {arc_text(arc)}")
 
 # removing an arc can only lower the flow; raising a capacity only raise it
 bigger = dataclasses.replace(

@@ -203,23 +203,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "that withstands every budget-limited disruption.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("-i", "--instance", required=True,
-                           help="instance JSON document")
+    flags = {
+        "--budget": dict(type=float, default=None,
+                         help="override the disruption budget"),
+        "--penalty": dict(type=float, default=None,
+                          help="override the shortage penalty"),
+        "--timeout": dict(type=float, default=None,
+                          help="wall-clock limit in seconds"),
+        "--scenario-cap": dict(type=int, default=10 ** 7,
+                               help="largest scenario space to enumerate"),
+    }
+
+    def common(p, *names):
+        p.add_argument("-i", "--instance", required=True,
+                       help="instance JSON document")
         p.add_argument("-o", "--output", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--budget", type=float, default=None,
-                       help="override the disruption budget")
-        p.add_argument("--penalty", type=float, default=None,
-                       help="override the shortage penalty")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="wall-clock limit in seconds")
-        p.add_argument("--scenario-cap", type=int, default=10 ** 7,
-                       help="largest scenario space to enumerate")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_solve = sub.add_parser("solve", help="compute an optimal design")
-    common(p_solve)
+    common(p_solve, "--budget", "--penalty", "--timeout", "--scenario-cap")
     p_solve.add_argument("--method", choices=("ef", "bd", "dsg"),
                          default="dsg", help="solution approach")
     p_solve.add_argument("--shed-cap", type=float, default=None,
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify",
                               help="certify a design against all attacks")
-    common(p_verify)
+    common(p_verify, "--budget", "--scenario-cap")
     p_verify.add_argument("--design", required=True,
                           help="design JSON (a solve report works)")
     p_verify.set_defaults(func=_cmd_verify)
@@ -251,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_sweep = sub.add_parser("sweep",
+    # no abbreviations: a stray --budget must not be taken for --budgets
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
                              help="minimal build cost per shortage allowance")
-    common(p_sweep)
+    common(p_sweep, "--timeout")
     p_sweep.add_argument("--eps", required=True,
                          help="comma-separated allowed-shed fractions")
     p_sweep.add_argument("--budgets", required=True,

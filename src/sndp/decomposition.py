@@ -191,8 +191,6 @@ def build_master(inst: Instance, cuts, *, shed_cap: float | None = None
         for eid, coef in cut.coefficients.items():
             if coef != 0.0:
                 coeffs[f"build[{eid}]"] = coef
-            if eid in cut.attack.disrupted:
-                rhs += coef
         lp.add_row(f"cut[{k}]", coeffs, "<=", rhs)
     binaries = tuple(lp.var_id(f"build[{e.id}]") for e in inst.edges)
     return MilpModel(lp, binaries)

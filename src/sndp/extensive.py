@@ -17,6 +17,8 @@ from sndp.decomposition import (
     DesignSolution,
     InfeasibleDesignError,
     ScenarioCapError,
+    _Deadline,
+    _require_valid,
     build_cost,
     enumerate_scenarios,
 )
@@ -25,7 +27,6 @@ from sndp.instances import (
     DesignVector,
     EMPTY_ATTACK,
     Instance,
-    validate,
 )
 from sndp.recourse import price_scenarios, worst_case
 from sndp.separation import SeparationError
@@ -85,10 +86,13 @@ def solve_extensive(inst: Instance, *,
                     scenario_cap: int = DEFAULT_EF_SCENARIO_CAP,
                     shed_cap: float | None = None,
                     time_limit: float | None = None) -> DesignSolution:
-    """Exact solve of the full scenario-expanded MILP (small instances only)."""
-    report = validate(inst)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(report.findings))
+    """Exact solve of the full scenario-expanded MILP (small instances only).
+
+    ``time_limit`` counts from entry, so enumeration and model building
+    spend from it too.
+    """
+    _require_valid(inst)
+    deadline = _Deadline(time_limit)
     try:
         scenarios = list(enumerate_scenarios(inst, cap=scenario_cap))
     except SeparationError as exc:
@@ -97,8 +101,7 @@ def solve_extensive(inst: Instance, *,
         ) from exc
     t0 = time.perf_counter()
     milp = build_extensive(inst, scenarios, shed_cap=shed_cap)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    sol = solve_milp(milp, deadline=deadline)
+    sol = solve_milp(milp, deadline=deadline.stamp)
     elapsed = time.perf_counter() - t0
     if sol.status != "optimal":
         raise InfeasibleDesignError("no design satisfies the shortage cap")

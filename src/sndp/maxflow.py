@@ -5,7 +5,7 @@ non-disrupted edge {i, j} contributes the arcs (i, j) and (j, i), each with
 the full edge capacity; a super source feeds every supply node and a super
 terminal drains every demand node.  A shortest-augmenting-path scheme with
 BFS layering computes the max flow, and the nodes reachable in the final
-residual graph certify the min cut.
+residual graph are the source side of a min cut.
 """
 
 from __future__ import annotations
@@ -24,112 +24,66 @@ from sndp.instances import (
 
 FLOW_EPS = 1e-12  # residual capacities at or below this count as saturated
 
-SOURCE = "s"
-TERMINAL = "t"
-
-
-@dataclasses.dataclass(frozen=True)
-class ArcTag:
-    """Provenance of an arc: an original edge direction or an augmentation arc."""
-
-    kind: str  # "edge" | "source" | "terminal"
-    edge_id: int | None = None
-    forward: bool | None = None  # edge arcs: True for i->j as stored
-    node: int | None = None      # augmentation arcs: the real endpoint
-
-    def __str__(self):
-        if self.kind == "edge":
-            return f"e{self.edge_id}{'+' if self.forward else '-'}"
-        return f"{self.kind[0]}:{self.node}"
-
-
-@dataclasses.dataclass(frozen=True)
-class Arc:
-    tail: int | str
-    head: int | str
-    capacity: float
-    tag: ArcTag
-
 
 class FlowGraph:
-    """Directed capacitated graph with dedicated source and terminal nodes."""
+    """Directed capacitated graph on nodes 0..n-1 whose last two nodes are
+    the source and the terminal; ``arcs`` holds (tail, head, capacity)."""
 
-    def __init__(self, internal_nodes, arcs):
-        self.internal_nodes = tuple(internal_nodes)
-        self.nodes = self.internal_nodes + (SOURCE, TERMINAL)
+    def __init__(self, n: int, arcs):
+        if n < 2:
+            raise ValueError("a flow graph needs a source and a terminal")
+        self.n = n
         self.arcs = tuple(arcs)
-        index = {node: pos for pos, node in enumerate(self.nodes)}
-        for arc in self.arcs:
-            if arc.capacity < 0:
-                raise ValueError(f"negative capacity on arc {arc.tag}")
-            if arc.tail not in index or arc.head not in index:
-                raise ValueError(f"arc {arc.tag} references unknown node")
-        self._index = index
-
-    @property
-    def source(self) -> str:
-        return SOURCE
-
-    @property
-    def terminal(self) -> str:
-        return TERMINAL
-
-    def node_pos(self, node) -> int:
-        return self._index[node]
-
-    def dump(self) -> str:
-        """Debug text dump: one arc per line, 'tail head capacity'."""
-        return "".join(f"{a.tail} {a.head} {a.capacity:g}\n" for a in self.arcs)
-
-
-@dataclasses.dataclass(frozen=True)
-class CutCertificate:
-    source_side: frozenset
-    terminal_side: frozenset
-    capacity: float
-    crossing: tuple[ArcTag, ...]
+        for tail, head, capacity in self.arcs:
+            if capacity < 0:
+                raise ValueError(f"negative capacity on arc {tail}->{head}")
+            if not (0 <= tail < n and 0 <= head < n):
+                raise ValueError(f"arc {tail}->{head} references unknown node")
 
 
 @dataclasses.dataclass(frozen=True)
 class FlowResult:
     value: float
     flows: tuple[float, ...]  # aligned with graph.arcs
-    cut: CutCertificate
+    source_side: frozenset    # node positions on the source side of a min cut
 
 
 def build_augmented(inst: Instance, design: DesignVector,
                     attack: AttackVector) -> FlowGraph:
-    """Augmented graph for a consistent (design, attack) pair."""
+    """Augmented graph for a consistent (design, attack) pair; node k is
+    ``inst.nodes[k]``, followed by the source and the terminal."""
     if not attack_consistent(design, attack):
         extra = sorted(attack.disrupted - design.built)
         raise ValueError(f"attack disrupts unbuilt edges {extra}")
+    index = inst.node_index
+    source = len(inst.nodes)
     arcs = []
     for e in inst.edges:  # edges are id-sorted: deterministic arc order
         if e.id not in design.built or e.id in attack.disrupted:
             continue
-        arcs.append(Arc(e.i, e.j, e.u, ArcTag("edge", edge_id=e.id, forward=True)))
-        arcs.append(Arc(e.j, e.i, e.u, ArcTag("edge", edge_id=e.id, forward=False)))
-    for n in inst.nodes:
+        i, j = index[e.i], index[e.j]
+        arcs.append((i, j, e.u))
+        arcs.append((j, i, e.u))
+    for pos, n in enumerate(inst.nodes):
         if n.b > 0:
-            arcs.append(Arc(SOURCE, n.id, n.b, ArcTag("source", node=n.id)))
+            arcs.append((source, pos, n.b))
         elif n.b < 0:
-            arcs.append(Arc(n.id, TERMINAL, -n.b, ArcTag("terminal", node=n.id)))
-    return FlowGraph([n.id for n in inst.nodes], arcs)
+            arcs.append((pos, source + 1, -n.b))
+    return FlowGraph(source + 2, arcs)
 
 
 class _Residual:
     """Arc-pair residual representation: slots 2k / 2k+1 are forward/backward."""
 
     def __init__(self, graph: FlowGraph):
-        n = len(graph.nodes)
+        n = graph.n
         self.head = []
         self.residual = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for arc in graph.arcs:
-            u, v = graph.node_pos(arc.tail), graph.node_pos(arc.head)
+        for u, v, capacity in graph.arcs:
             self.adj[u].append(len(self.head))
             self.head.append(v)
-            self.residual.append(arc.capacity)
+            self.residual.append(capacity)
             self.adj[v].append(len(self.head))
             self.head.append(u)
             self.residual.append(0.0)
@@ -201,10 +155,9 @@ class _Residual:
 
 
 def max_flow(graph: FlowGraph) -> FlowResult:
-    """Max flow value, per-arc flows and a min-cut certificate."""
+    """Max flow value, per-arc flows and the source side of a min cut."""
     res = _Residual(graph)
-    s = graph.node_pos(SOURCE)
-    t = graph.node_pos(TERMINAL)
+    s, t = graph.n - 2, graph.n - 1
     value = 0.0
     while True:
         level = res.bfs_levels(s, t)
@@ -215,33 +168,25 @@ def max_flow(graph: FlowGraph) -> FlowResult:
             break
         value += pushed
     flows = tuple(
-        max(0.0, arc.capacity - res.residual[2 * k])
-        for k, arc in enumerate(graph.arcs)
+        max(0.0, capacity - res.residual[2 * k])
+        for k, (_, _, capacity) in enumerate(graph.arcs)
     )
     seen = res.reachable(s)
-    source_side = frozenset(n for n in graph.nodes if seen[graph.node_pos(n)])
-    terminal_side = frozenset(graph.nodes) - source_side
-    crossing = []
-    cut_capacity = 0.0
-    for arc in graph.arcs:
-        if arc.tail in source_side and arc.head in terminal_side:
-            crossing.append(arc.tag)
-            cut_capacity += arc.capacity
-    cut = CutCertificate(source_side, terminal_side, cut_capacity, tuple(crossing))
-    return FlowResult(value=value, flows=flows, cut=cut)
+    source_side = frozenset(v for v in range(graph.n) if seen[v])
+    return FlowResult(value=value, flows=flows, source_side=source_side)
 
 
 def min_cut_bruteforce(graph: FlowGraph) -> float:
     """Exhaustive minimum s-t cut; test oracle for graphs with <= 20 internal nodes."""
-    internal = graph.internal_nodes
-    if len(internal) > 20:
+    internal = graph.n - 2  # also the position of the source
+    if internal > 20:
         raise ValueError("brute-force cut limited to 20 internal nodes")
     best = float("inf")
-    for k in range(len(internal) + 1):
-        for subset in itertools.combinations(internal, k):
-            side = set(subset) | {SOURCE}
-            cap = sum(a.capacity for a in graph.arcs
-                      if a.tail in side and a.head not in side)
+    for k in range(internal + 1):
+        for subset in itertools.combinations(range(internal), k):
+            side = set(subset) | {internal}
+            cap = sum(c for tail, head, c in graph.arcs
+                      if tail in side and head not in side)
             best = min(best, cap)
     return best
 

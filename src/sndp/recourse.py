@@ -43,8 +43,8 @@ class RecourseResult:
 class BendersCut:
     """Affine lower bound on the worst-shed variable for one attack scenario.
 
-    The cut reads  constant + sum_e coeff[e]*(x_e - d_e) <= theta.  Attacked
-    edges carry a zero coefficient: their capacity is lost no matter what the
+    The cut reads  constant + sum coeff[e]*x_e <= theta.  Attacked edges
+    carry a zero coefficient: their capacity is lost no matter what the
     design does, which keeps the bound valid at designs that do not build
     them (and coincides with the dual objective wherever the pairing is
     consistent).
@@ -196,7 +196,6 @@ def evaluate_cut(cut: BendersCut, design: DesignVector,
     """Cut violation at (design, worst_shed); positive means violated."""
     value = cut.constant
     for eid, coef in cut.coefficients.items():
-        x = 1.0 if eid in design.built else 0.0
-        d = 1.0 if eid in cut.attack.disrupted else 0.0
-        value += coef * (x - d)
+        if eid in design.built:
+            value += coef
     return value - worst_shed

@@ -32,13 +32,7 @@ from sndp.instances import (
     generate_instance,
     restrict_attack,
 )
-from sndp.maxflow import (
-    Arc,
-    ArcTag,
-    FlowGraph,
-    max_flow,
-    min_cut_bruteforce,
-)
+from sndp.maxflow import FlowGraph, max_flow, min_cut_bruteforce
 from sndp.recourse import FWD, REV, evaluate_cut, make_cut, solve_recourse
 from sndp.reporting import bench, bench_csv, sweep_tradeoff, verify_design
 from sndp.separation import (
@@ -204,19 +198,16 @@ def test_criterion_04_duality_suite():
         n = rng.randint(1, 10)
         nodes = list(range(n))
         arcs = []
-        for k in range(rng.randint(0, 2 * n)):
+        for _ in range(rng.randint(0, 2 * n)):
             if n < 2:
                 break
             tail, head = rng.sample(nodes, 2)
-            arcs.append(Arc(tail, head, float(rng.randint(0, 9)),
-                            ArcTag("edge", edge_id=k, forward=True)))
+            arcs.append((tail, head, float(rng.randint(0, 9))))
         for v in rng.sample(nodes, max(1, n // 2)):
-            arcs.append(Arc("s", v, float(rng.randint(1, 8)),
-                            ArcTag("source", node=v)))
+            arcs.append((n, v, float(rng.randint(1, 8))))
         for v in rng.sample(nodes, max(1, n // 2)):
-            arcs.append(Arc(v, "t", float(rng.randint(1, 8)),
-                            ArcTag("terminal", node=v)))
-        graph = FlowGraph(nodes, arcs)
+            arcs.append((v, n + 1, float(rng.randint(1, 8))))
+        graph = FlowGraph(n + 2, arcs)
         assert max_flow(graph).value \
             == pytest.approx(min_cut_bruteforce(graph), abs=1e-9)
     print("ACCEPTANCE 4 duality suite (200 recourse triples, "

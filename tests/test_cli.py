@@ -137,7 +137,7 @@ def test_subcommand_help_lists_flags(capsys):
         assert flag in text
 
 
-def test_removed_flags_are_usage_errors(paths, tmp_path):
+def test_removed_flags_are_usage_errors(paths, tmp_path, capsys):
     pa, _, _ = paths
     design = tmp_path / "design.json"
     design.write_text('{"built": [0, 1, 2]}')
@@ -153,6 +153,22 @@ def test_removed_flags_are_usage_errors(paths, tmp_path):
             with pytest.raises(SystemExit) as exc:
                 main(base + extra)
             assert exc.value.code == 2
+    # flags that verify and sweep parsed but never read
+    verify, sweep = commands[1], commands[2]
+    for extra in (verify + ["--timeout", "5"], verify + ["--penalty", "9"],
+                  sweep + ["--scenario-cap", "9"], sweep + ["--budget", "1"],
+                  sweep + ["--penalty", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(extra)
+        assert exc.value.code == 2
+    # solve and bench keep theirs
+    capsys.readouterr()
+    for base in (commands[0], commands[3]):
+        for flag in ("--timeout", "--penalty", "--scenario-cap", "--budget"):
+            with pytest.raises(SystemExit) as exc:
+                main(base + [flag, "x"])
+            assert exc.value.code == 2
+            assert f"argument {flag}" in capsys.readouterr().err
     out = tmp_path / "gen.json"
     assert main(["gen", "--family", "grid", "--nodes", "4", "--seed", "7",
                  "-o", str(out)]) == 0

@@ -81,3 +81,18 @@ def test_scenario_cap_error_suggests_delayed(tri3a):
     big = dataclasses.replace(tri3a, budget=2.0)
     with pytest.raises(ScenarioCapError, match="delayed"):
         solve_extensive(big, scenario_cap=3)
+
+
+def test_time_limit_counts_from_entry(tri3b, monkeypatch):
+    import time
+
+    from sndp import extensive
+    from sndp.branch_and_bound import SolveTimeout
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.3)
+        return build_extensive(*args, **kwargs)
+
+    monkeypatch.setattr(extensive, "build_extensive", slow_build)
+    with pytest.raises(SolveTimeout):
+        solve_extensive(tri3b, time_limit=0.1)

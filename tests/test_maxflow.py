@@ -4,8 +4,6 @@ import pytest
 
 from sndp.instances import AttackVector, DesignVector, EMPTY_ATTACK
 from sndp.maxflow import (
-    Arc,
-    ArcTag,
     FlowGraph,
     build_augmented,
     feasible_full_demand,
@@ -16,9 +14,17 @@ from sndp.maxflow import (
 E12, E23, E13 = 0, 1, 2
 
 
+def crossing_arcs(graph, side):
+    return [arc for arc in graph.arcs if arc[0] in side and arc[1] not in side]
+
+
+def cut_capacity(graph, side):
+    return sum(capacity for _, _, capacity in crossing_arcs(graph, side))
+
+
 def test_augmented_construction_counts(tri3a):
     g = build_augmented(tri3a, DesignVector.all_edges(tri3a), EMPTY_ATTACK)
-    assert len(g.nodes) == 5
+    assert g.n == 5
     assert len(g.arcs) == 8  # six edge arcs plus the two augmentation arcs
     empty = build_augmented(tri3a, DesignVector.from_ids([]), EMPTY_ATTACK)
     assert len(empty.arcs) == 2
@@ -27,8 +33,9 @@ def test_augmented_construction_counts(tri3a):
 def test_attacked_edges_contribute_nothing(tri3b):
     g = build_augmented(tri3b, DesignVector.all_edges(tri3b),
                         AttackVector.from_ids([E12]))
-    edge_ids = {a.tag.edge_id for a in g.arcs if a.tag.kind == "edge"}
-    assert edge_ids == {E23, E13}
+    # nodes 1, 2, 3 sit at positions 0, 1, 2; the source and terminal at 3, 4
+    internal = {(tail, head) for tail, head, _ in g.arcs if max(tail, head) < 3}
+    assert internal == {(1, 2), (2, 1), (0, 2), (2, 0)}
 
 
 def test_inconsistent_pair_rejected(tri3a):
@@ -41,15 +48,16 @@ def test_full_design_flow_value(tri3a):
     g = build_augmented(tri3a, DesignVector.all_edges(tri3a), EMPTY_ATTACK)
     result = max_flow(g)
     assert result.value == pytest.approx(10.0, abs=1e-9)
-    assert result.cut.capacity == pytest.approx(result.value, abs=1e-9)
+    assert cut_capacity(g, result.source_side) \
+        == pytest.approx(result.value, abs=1e-9)
     assert min_cut_bruteforce(g) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_empty_network_flow():
-    g = FlowGraph([], [])
+    g = FlowGraph(2, [])
     result = max_flow(g)
     assert result.value == 0.0
-    assert result.cut.source_side == frozenset({"s"})
+    assert result.source_side == frozenset({0})
 
 
 def test_min_cut_after_attack(tri3b):
@@ -58,7 +66,8 @@ def test_min_cut_after_attack(tri3b):
     result = max_flow(g)
     assert result.value == pytest.approx(6.0, abs=1e-9)
     assert min_cut_bruteforce(g) == pytest.approx(6.0, abs=1e-9)
-    assert [str(t) for t in result.cut.crossing] == ["e2+"]
+    # only edge 2 in its stored direction, node 1 -> node 3, crosses the cut
+    assert crossing_arcs(g, result.source_side) == [(0, 2, 6.0)]
 
 
 def test_feasibility_fixtures(tri3a, tri3b):
@@ -79,19 +88,16 @@ def random_flow_graph(rng, max_internal=10):
     n = rng.randint(1, max_internal)
     nodes = list(range(n))
     arcs = []
-    for k in range(rng.randint(0, 2 * n)):
+    for _ in range(rng.randint(0, 2 * n)):
         if n < 2:
             break
         tail, head = rng.sample(nodes, 2)
-        arcs.append(Arc(tail, head, float(rng.randint(0, 9)),
-                        ArcTag("edge", edge_id=k, forward=True)))
+        arcs.append((tail, head, float(rng.randint(0, 9))))
     for v in rng.sample(nodes, max(1, n // 2)):
-        arcs.append(Arc("s", v, float(rng.randint(1, 8)),
-                        ArcTag("source", node=v)))
+        arcs.append((n, v, float(rng.randint(1, 8))))
     for v in rng.sample(nodes, max(1, n // 2)):
-        arcs.append(Arc(v, "t", float(rng.randint(1, 8)),
-                        ArcTag("terminal", node=v)))
-    return FlowGraph(nodes, arcs)
+        arcs.append((v, n + 1, float(rng.randint(1, 8))))
+    return FlowGraph(n + 2, arcs)
 
 
 def test_flow_equals_bruteforce_cut_on_random_graphs():
@@ -100,7 +106,8 @@ def test_flow_equals_bruteforce_cut_on_random_graphs():
         g = random_flow_graph(rng)
         result = max_flow(g)
         assert result.value == pytest.approx(min_cut_bruteforce(g), abs=1e-9)
-        assert result.cut.capacity == pytest.approx(result.value, abs=1e-9)
+        assert cut_capacity(g, result.source_side) \
+            == pytest.approx(result.value, abs=1e-9)
 
 
 def test_flows_conserve_and_respect_capacity():
@@ -108,13 +115,13 @@ def test_flows_conserve_and_respect_capacity():
     for _ in range(50):
         g = random_flow_graph(rng)
         result = max_flow(g)
-        for arc, flow in zip(g.arcs, result.flows):
-            assert -1e-12 <= flow <= arc.capacity + 1e-9
-        for node in g.internal_nodes:
-            net = sum(f for a, f in zip(g.arcs, result.flows) if a.tail == node)
-            net -= sum(f for a, f in zip(g.arcs, result.flows) if a.head == node)
+        for (_, _, capacity), flow in zip(g.arcs, result.flows):
+            assert -1e-12 <= flow <= capacity + 1e-9
+        for node in range(g.n - 2):
+            net = sum(f for a, f in zip(g.arcs, result.flows) if a[0] == node)
+            net -= sum(f for a, f in zip(g.arcs, result.flows) if a[1] == node)
             assert abs(net) <= 1e-9
-        sent = sum(f for a, f in zip(g.arcs, result.flows) if a.tail == "s")
+        sent = sum(f for a, f in zip(g.arcs, result.flows) if a[0] == g.n - 2)
         assert sent == pytest.approx(result.value, abs=1e-9)
 
 
@@ -126,15 +133,12 @@ def test_monotone_in_capacity_and_arcs():
         # raise one capacity
         if g.arcs:
             k = rng.randrange(len(g.arcs))
-            raised = [Arc(a.tail, a.head,
-                          a.capacity + (3.0 if i == k else 0.0), a.tag)
-                      for i, a in enumerate(g.arcs)]
-            assert max_flow(FlowGraph(g.internal_nodes, raised)).value \
-                >= base - 1e-9
+            raised = [(tail, head, capacity + (3.0 if i == k else 0.0))
+                      for i, (tail, head, capacity) in enumerate(g.arcs)]
+            assert max_flow(FlowGraph(g.n, raised)).value >= base - 1e-9
         # add an arc
-        extra = list(g.arcs) + [Arc("s", g.internal_nodes[0], 2.0,
-                                    ArcTag("source", node=-1))]
-        assert max_flow(FlowGraph(g.internal_nodes, extra)).value >= base - 1e-9
+        extra = list(g.arcs) + [(g.n - 2, 0, 2.0)]
+        assert max_flow(FlowGraph(g.n, extra)).value >= base - 1e-9
 
 
 def test_shrinking_attack_preserves_feasibility(tri3a, tri3b):
@@ -151,13 +155,15 @@ def test_shrinking_attack_preserves_feasibility(tri3a, tri3b):
 
 
 def test_bruteforce_size_limit():
-    g = FlowGraph(list(range(21)), [])
+    g = FlowGraph(23, [])
     with pytest.raises(ValueError, match="20"):
         min_cut_bruteforce(g)
 
 
-def test_graph_dump(tri3a):
-    g = build_augmented(tri3a, DesignVector.from_ids([E12]), EMPTY_ATTACK)
-    lines = g.dump().splitlines()
-    assert lines[0] == "1 2 10"
-    assert lines[-1] == "3 t 10"
+def test_graph_rejects_bad_arcs():
+    with pytest.raises(ValueError, match="negative"):
+        FlowGraph(3, [(2, 0, -1.0)])
+    with pytest.raises(ValueError, match="unknown"):
+        FlowGraph(3, [(0, 3, 1.0)])
+    with pytest.raises(ValueError, match="source"):
+        FlowGraph(1, [])
