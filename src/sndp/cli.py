@@ -103,6 +103,8 @@ def _cmd_solve(args) -> int:
     except (SolveTimeout, ScenarioCapError, InfeasibleDesignError,
             RuntimeError) as exc:
         raise CliError(f"solve failed: {exc}", SOLVER_ERROR)
+    except MemoryError:
+        raise CliError("solve failed: out of memory", SOLVER_ERROR)
     report = {"instance": Path(args.instance).name, **solution_to_dict(solution)}
     if args.verify:
         verification = verify_design(inst, solution.design)

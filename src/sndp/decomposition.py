@@ -4,8 +4,9 @@ Both drivers alternate a design MILP (build binaries plus a worst-shed
 variable bounded from below by the optimality cuts found so far) with
 separation:
 
-* the explicit driver re-solves the recourse LP of every enumerated scenario
-  each round and adds all violated cuts;
+* the explicit driver re-prices every enumerated scenario each round and
+  adds all violated cuts; scenarios that agree on the built edges reuse one
+  max-flow screen and recourse LP (see ``price_scenarios``);
 * the delayed driver asks an oracle for one violated scenario, lists it, and
   re-checks only the listed scenarios, so the exponential scenario space is
   searched implicitly.

@@ -5,12 +5,13 @@ non-disrupted edge {i, j} contributes the arcs (i, j) and (j, i), each with
 the full edge capacity; a super source feeds every supply node and a super
 terminal drains every demand node.  A shortest-augmenting-path scheme with
 BFS layering computes the max flow, and the nodes reachable in the final
-residual graph are the source side of a min cut.
+residual graph are the source side of a min cut.  The per-arc flows and the
+min-cut side are read off the final residual only when asked for.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 from collections import deque
 
@@ -39,13 +40,6 @@ class FlowGraph:
                 raise ValueError(f"negative capacity on arc {tail}->{head}")
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc {tail}->{head} references unknown node")
-
-
-@dataclasses.dataclass(frozen=True)
-class FlowResult:
-    value: float
-    flows: tuple[float, ...]  # aligned with graph.arcs
-    source_side: frozenset    # node positions on the source side of a min cut
 
 
 def build_augmented(inst: Instance, design: DesignVector,
@@ -154,6 +148,29 @@ class _Residual:
         return seen
 
 
+class FlowResult:
+    """Max-flow value, with the final residual graph kept for the lazy
+    per-arc flows and min-cut side."""
+
+    def __init__(self, value: float, graph: FlowGraph, residual: _Residual):
+        self.value = value
+        self._graph = graph
+        self._residual = residual
+
+    @functools.cached_property
+    def flows(self) -> tuple[float, ...]:
+        """Per-arc flows, aligned with ``graph.arcs``."""
+        residual = self._residual.residual
+        return tuple(max(0.0, capacity - residual[2 * k])
+                     for k, (_, _, capacity) in enumerate(self._graph.arcs))
+
+    @functools.cached_property
+    def source_side(self) -> frozenset:
+        """Node positions on the source side of a min cut."""
+        seen = self._residual.reachable(self._graph.n - 2)
+        return frozenset(v for v in range(self._graph.n) if seen[v])
+
+
 def max_flow(graph: FlowGraph) -> FlowResult:
     """Max flow value, per-arc flows and the source side of a min cut."""
     res = _Residual(graph)
@@ -167,13 +184,7 @@ def max_flow(graph: FlowGraph) -> FlowResult:
         if pushed <= 0.0:
             break
         value += pushed
-    flows = tuple(
-        max(0.0, capacity - res.residual[2 * k])
-        for k, (_, _, capacity) in enumerate(graph.arcs)
-    )
-    seen = res.reachable(s)
-    source_side = frozenset(v for v in range(graph.n) if seen[v])
-    return FlowResult(value=value, flows=flows, source_side=source_side)
+    return FlowResult(value, graph, res)
 
 
 def min_cut_bruteforce(graph: FlowGraph) -> float:

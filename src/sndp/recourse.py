@@ -142,13 +142,28 @@ def price_scenarios(inst: Instance, design: DesignVector, attacks,
     otherwise its recourse LP is solved on the restricted attack.
     ``deadline`` (anything with a ``check(where)`` method) is checked before
     each attack.
+
+    Many attacks restrict to the same attack.  An outcome is kept only when
+    restriction changed the attack, and every later attack with the same
+    restriction reuses it, so each restricted attack is screened and priced
+    at most twice per scan: once as an attack of its own and once as a
+    restriction.  An attack on built edges keeps nothing, so a scan over
+    built edges holds no result after yielding it.
     """
+    priced = {}  # restricted attack -> recourse result, None if no shed
     for attack in attacks:
         if deadline is not None:
             deadline.check("scenario pricing")
         effective = restrict_attack(attack, design)
-        if not feasible_full_demand(inst, design, effective):
-            yield attack, solve_recourse(inst, design, effective)
+        if effective in priced:
+            result = priced[effective]
+        else:
+            result = None if feasible_full_demand(inst, design, effective) \
+                else solve_recourse(inst, design, effective)
+            if effective != attack:
+                priced[effective] = result
+        if result is not None:
+            yield attack, result
 
 
 def worst_case(priced) -> tuple[float, AttackVector | None]:

@@ -6,7 +6,8 @@
 * ``bench`` runs each solver on each instance and renders one CSV row per
   cell with a per-phase timing breakdown; cells that exceed the timeout are
   marked "x" and scenario counts beyond the cap are written as ">N" lower
-  bounds.
+  bounds.  A cell whose solver fails or runs out of memory is recorded and
+  the table goes on.
 * ``sweep_tradeoff`` maps the minimal build cost as a function of the
   allowed shortage fraction and the disruption budget.
 """
@@ -76,7 +77,7 @@ class BenchRow:
     scenario_exact: bool
     method: str
     solution: DesignSolution | None
-    failure: str = ""  # "" | "timeout" | "cap" | "infeasible"
+    failure: str = ""  # "" | "timeout" | "cap" | "infeasible" | "memory"
 
     def as_csv(self) -> list[str]:
         scen = str(self.scenario_count) if self.scenario_exact \
@@ -185,6 +186,8 @@ def bench(instances, methods=("ef", "bd", "dsg"), *,
             solution, failure = None, "cap"
         except InfeasibleDesignError:
             solution, failure = None, "infeasible"
+        except MemoryError:
+            solution, failure = None, "memory"
         except RuntimeError as exc:
             solution, failure = None, f"error: {exc}"
         rows.append(BenchRow(

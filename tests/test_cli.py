@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import sndp.cli
 from sndp.cli import main
 from sndp.instances import serialize_instance
 
@@ -73,6 +74,17 @@ def test_infeasible_cap_is_solver_error(paths):
     rc = main(["solve", "-i", str(pb), "--shed-cap", "0.0",
                "-o", str(tmp / "x.json")])
     assert rc == 1
+
+
+def test_out_of_memory_is_solver_error(paths, monkeypatch, capsys):
+    pa, _, tmp = paths
+    def out_of_memory(inst, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(sndp.cli, "solve_delayed", out_of_memory)
+    rc = main(["solve", "-i", str(pa), "--method", "dsg",
+               "-o", str(tmp / "x.json")])
+    assert rc == 1
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_verify_reports_failure_verdict(paths, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sndp.maxflow
 from sndp.instances import AttackVector, DesignVector, EMPTY_ATTACK
 from sndp.maxflow import (
     FlowGraph,
@@ -71,6 +72,18 @@ def test_min_cut_after_attack(tri3b):
 
 
 def test_feasibility_fixtures(tri3a, tri3b):
+    assert feasible_full_demand(tri3a, DesignVector.all_edges(tri3a),
+                                AttackVector.from_ids([E13]))
+    assert not feasible_full_demand(tri3b, DesignVector.all_edges(tri3b),
+                                    AttackVector.from_ids([E12]))
+
+
+def test_screen_reads_no_min_cut(tri3a, tri3b, monkeypatch):
+    # the feasibility screen needs the flow value only; the min-cut side
+    # is found on demand
+    def no_cut(self, s):
+        raise AssertionError("min-cut side computed")
+    monkeypatch.setattr(sndp.maxflow._Residual, "reachable", no_cut)
     assert feasible_full_demand(tri3a, DesignVector.all_edges(tri3a),
                                 AttackVector.from_ids([E13]))
     assert not feasible_full_demand(tri3b, DesignVector.all_edges(tri3b),

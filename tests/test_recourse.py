@@ -1,8 +1,12 @@
+import collections
 import dataclasses
 import random
+import weakref
 
 import pytest
 
+import sndp.recourse
+from sndp.decomposition import enumerate_scenarios
 from sndp.instances import (
     AttackVector,
     DesignVector,
@@ -18,8 +22,10 @@ from sndp.recourse import (
     build_recourse_lp,
     evaluate_cut,
     make_cut,
+    price_scenarios,
     solve_recourse,
 )
+from sndp.separation import budget_attacks
 
 E12, E23, E13 = 0, 1, 2
 
@@ -185,3 +191,51 @@ def test_shed_invariant_under_uniform_scaling(tri3b):
         edges=tuple(dataclasses.replace(e, u=7 * e.u) for e in tri3b.edges))
     assert solve_recourse(scaled_inst, allx, attack).shed \
         == pytest.approx(base, abs=1e-9)
+
+
+def _grid12():
+    inst = generate_instance(GeneratorSpec("grid", 12, seed=1,
+                                           placement_seed=1))
+    inst = dataclasses.replace(inst, budget=2.0)
+    # a partial design: the even-numbered edges
+    return inst, DesignVector.from_ids(e.id for e in inst.edges
+                                       if e.id % 2 == 0)
+
+
+def test_scan_reuses_the_price_of_a_restriction(monkeypatch):
+    inst, design = _grid12()
+    attacks = list(enumerate_scenarios(inst))
+    reference = []
+    for attack in attacks:
+        effective = restrict_attack(attack, design)
+        if not feasible_full_demand(inst, design, effective):
+            reference.append((attack, solve_recourse(inst, design, effective)))
+    calls = []
+
+    def counted(i, d, a):
+        calls.append(a)
+        return solve_recourse(i, d, a)
+    monkeypatch.setattr(sndp.recourse, "solve_recourse", counted)
+    priced = list(price_scenarios(inst, design, attacks))
+    # the same pairs in the same order, results equal to the last bit
+    assert priced == reference
+    # one LP for an attack on built edges, one more when it first shows up
+    # as the restriction of a larger attack; never more
+    distinct = {restrict_attack(a, design) for a, _ in reference}
+    assert len(attacks) == 153 and len(reference) == 153
+    assert set(calls) == distinct
+    assert max(collections.Counter(calls).values()) <= 2
+    assert len(calls) <= 2 * len(distinct)
+
+
+def test_scan_over_built_edges_keeps_no_result():
+    inst, design = _grid12()
+    attacks = budget_attacks(inst, design.built, inst.budget)
+    scan = price_scenarios(inst, design, attacks)
+    alive = []
+    for _, result in scan:
+        # every result yielded before this one is gone
+        assert all(ref() is None for ref in alive)
+        alive.append(weakref.ref(result))
+        del result
+    assert len(alive) > 10

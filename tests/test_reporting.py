@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import sndp.recourse
+import sndp.reporting
 from sndp.decomposition import solve_benders, solve_delayed, solve_exhaustive
 from sndp.extensive import solve_extensive
 from sndp.instances import (
@@ -192,6 +193,22 @@ def test_bench_timeout_cell_marked(tri3b):
     cells = rows[0].as_csv()
     assert cells[-4:] == ["x", "x", "x", "x"]
     assert cells[5] == ""  # objective cell left blank
+
+
+def test_bench_records_memory_error_and_goes_on(tri3a, tri3b, monkeypatch):
+    def out_of_memory(inst, **kwargs):
+        raise MemoryError
+    monkeypatch.setitem(sndp.reporting.METHOD_SOLVERS, "ef", out_of_memory)
+    rows = bench([("tri3a", tri3a), ("tri3b", tri3b)],
+                 methods=("ef", "bd", "dsg"), time_limit=120.0)
+    assert [(r.instance, r.method) for r in rows] == [
+        (name, m) for name in ("tri3a", "tri3b") for m in ("ef", "bd", "dsg")]
+    for row in rows:
+        if row.method == "ef":
+            assert row.solution is None and row.failure == "memory"
+            assert row.as_csv()[-4:] == ["x", "x", "x", "x"]
+        else:
+            assert row.solution is not None and row.failure == ""
 
 
 def test_bench_scenario_lower_bound_prefix(tri3a):
