@@ -1,9 +1,13 @@
 """Branch-and-bound for mixed-binary linear programs on top of the simplex.
 
 Best-first search ordered by LP relaxation bound, ties broken by node
-creation order; branching on the most fractional binary with lowest index as
-the tie-break.  No cutting planes, warm starts or presolve: problem-specific
-strengthening belongs to the callers.
+creation order.  Branching is by pseudo-costs (Achterberg, Koch and Martin,
+"Branching rules revisited", ORL 2005): every expansion solves both children,
+and each records, for its variable and side, the bound gain per unit moved.
+A fractional binary scores the product of its expected down and up gains;
+the highest score branches, lowest index on ties.  Pseudo-costs live for one
+solve, so the search is deterministic.  No cutting planes, warm starts or
+presolve: problem-specific strengthening belongs to the callers.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import time
 
 import numpy as np
 
-from sndp.simplex import LpError, LpModel, solve_lp
+# SolveTimeout lives in simplex (LPs check deadlines too) and is re-exported
+from sndp.simplex import LpError, LpModel, SolveTimeout, solve_lp
 
 INT_TOL = 1e-6
 FATHOM_TOL = 1e-9
@@ -24,10 +29,6 @@ FATHOM_TOL = 1e-9
 
 class MilpError(LpError):
     """MILP-level failure (bad model or search limits)."""
-
-
-class SolveTimeout(MilpError):
-    """Raised when a deadline expires inside the tree search."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,29 +53,46 @@ class MilpSolution:
     objective: float
     values: np.ndarray
     node_count: int
-    best_bound: float
     var_names: tuple[str, ...]
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
 
 
-def _is_integral(values: np.ndarray, binaries) -> bool:
-    for idx in binaries:
-        if abs(values[idx] - round(values[idx])) > INT_TOL:
-            return False
-    return True
+class _PseudoCosts:
+    """Mean bound gain per unit moved, per binary and branch side."""
 
+    def __init__(self, num_vars: int, binaries):
+        self.binaries = np.array(sorted(binaries), dtype=int)
+        self.gain = np.zeros((2, num_vars))   # row 0: down, row 1: up
+        self.count = np.zeros((2, num_vars))
 
-def _branch_var(values: np.ndarray, binaries) -> int:
-    """Most fractional binary; lowest index on ties."""
-    best, best_frac = -1, -1.0
-    for idx in binaries:
-        frac = min(values[idx] - math.floor(values[idx]),
-                   math.ceil(values[idx]) - values[idx])
-        if frac > best_frac + 1e-12:
-            best, best_frac = idx, frac
-    return best
+    def record(self, idx: int, side: int, gain: float, moved: float) -> None:
+        self.gain[side, idx] += max(gain, 0.0) / moved
+        self.count[side, idx] += 1
+
+    def branch_var(self, values: np.ndarray) -> int | None:
+        """Highest-scoring fractional binary, lowest index on ties; None if
+        every binary is integral."""
+        idx = self.binaries
+        frac = values[idx] - np.floor(values[idx])
+        fractional = (frac > INT_TOL) & (frac < 1.0 - INT_TOL)
+        if not fractional.any():
+            return None
+        idx, frac = idx[fractional], frac[fractional]
+        seen = self.count > 0
+        unit = self.gain / np.maximum(self.count, 1)
+        # an unrecorded side borrows the mean of that side's recorded ones
+        fallback = [unit[side][seen[side]].mean() if seen[side].any() else 1.0
+                    for side in (0, 1)]
+        down = np.where(seen[0, idx], unit[0, idx], fallback[0]) * frac
+        up = np.where(seen[1, idx], unit[1, idx], fallback[1]) * (1.0 - frac)
+        # product rule; the floor keeps a side that gains nothing from
+        # zeroing the other side's gain
+        score = np.maximum(down, INT_TOL) * np.maximum(up, INT_TOL)
+        # scores within a relative FATHOM_TOL are ties
+        ties = score >= score.max() * (1.0 - FATHOM_TOL)
+        return int(idx[np.argmax(ties)])
 
 
 def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
@@ -92,9 +110,7 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf  # internal (min) sense
 
-    def relax(bounds):
-        return solve_lp(lp, bounds_override=bounds)
-
+    pseudo = _PseudoCosts(lp.num_vars, model.binaries)
     nodes_solved = 0
 
     def solve_node(bounds):
@@ -104,7 +120,7 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
             raise MilpError(f"node limit {max_nodes} exceeded")
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout("MILP search deadline expired")
-        sol = relax(bounds)
+        sol = solve_lp(lp, bounds_override=bounds, deadline=deadline)
         if sol.status == "unbounded":
             raise MilpError("LP relaxation is unbounded")
         return sol
@@ -120,21 +136,23 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
             node_trace.append(bound)
         if bound >= incumbent_obj - FATHOM_TOL:
             continue
-        if _is_integral(sol.values, model.binaries):
-            if bound < incumbent_obj - FATHOM_TOL:
-                incumbent = sol.values.copy()
-                for idx in model.binaries:
-                    incumbent[idx] = round(incumbent[idx])
-                incumbent_obj = bound
+        branch = pseudo.branch_var(sol.values)
+        if branch is None:
+            incumbent = sol.values.copy()
+            for idx in model.binaries:
+                incumbent[idx] = round(incumbent[idx])
+            incumbent_obj = bound
             continue
-        branch = _branch_var(sol.values, model.binaries)
-        for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
+        value = sol.values[branch]
+        for side, (fixed, moved) in enumerate(((0.0, value),
+                                               (1.0, 1.0 - value))):
             child_bounds = dict(bounds)
-            child_bounds[branch] = (lo, hi)
+            child_bounds[branch] = (fixed, fixed)
             child = solve_node(child_bounds)
             if child.status != "optimal":
                 continue
             child_bound = sense_mult * child.objective
+            pseudo.record(branch, side, child_bound - bound, moved)
             if child_bound < incumbent_obj - FATHOM_TOL:
                 heapq.heappush(heap, (child_bound, next(counter), child_bounds, child))
 
@@ -142,11 +160,10 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
         return MilpSolution(
             status="infeasible", objective=math.nan,
             values=np.full(lp.num_vars, math.nan), node_count=nodes_solved,
-            best_bound=math.nan, var_names=tuple(lp.var_names))
-    objective = sense_mult * incumbent_obj
+            var_names=tuple(lp.var_names))
     return MilpSolution(
-        status="optimal", objective=objective, values=incumbent,
-        node_count=nodes_solved, best_bound=objective,
+        status="optimal", objective=sense_mult * incumbent_obj,
+        values=incumbent, node_count=nodes_solved,
         var_names=tuple(lp.var_names))
 
 
@@ -185,8 +202,7 @@ def solve_bruteforce(model: MilpModel) -> MilpSolution:
         return MilpSolution(
             status="infeasible", objective=math.nan,
             values=np.full(lp.num_vars, math.nan), node_count=solved,
-            best_bound=math.nan, var_names=tuple(lp.var_names))
-    objective = sense_mult * best_obj
+            var_names=tuple(lp.var_names))
     return MilpSolution(
-        status="optimal", objective=objective, values=best, node_count=solved,
-        best_bound=objective, var_names=tuple(lp.var_names))
+        status="optimal", objective=sense_mult * best_obj, values=best,
+        node_count=solved, var_names=tuple(lp.var_names))

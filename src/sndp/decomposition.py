@@ -85,10 +85,13 @@ class MasterState:
         self.t += 1
         return True
 
-    def record(self, master_obj, severity, cuts_added) -> None:
+    def record(self, master, severity, cuts_added) -> None:
+        """Log one round: the master solution, the oracle's severity (None
+        for ``bd``) and the cuts added."""
         self.log.append({
             "t": self.t,
-            "master_objective": master_obj,
+            "master_objective": master.objective,
+            "master_nodes": master.node_count,
             "oracle_severity": severity,
             "scenarios": len(self.scenarios),
             "cuts_added": cuts_added,
@@ -178,6 +181,15 @@ def build_master(inst: Instance, cuts, *, shed_cap: float | None = None
 
     Existing edges are fixed built.  In shortage-cap mode the objective drops
     the penalty term and the worst-shed variable is capped.
+
+    Each cut ``constant + sum coef_e*x_e <= theta`` (every coef_e <= 0) is
+    written with its coefficients clipped at ``-max(constant - target, 0)``:
+    target 0 in penalty mode (theta >= 0) and shed_cap in shortage-cap mode
+    (theta costs nothing, only feasibility matters).  For binary x the
+    clipped row admits the same designs and the same least theta,
+    ``max(0, cut(x))``, with a tighter LP relaxation (coefficient
+    strengthening; Savelsbergh, ORSA J. Computing 1994).  The pool keeps
+    the unclipped cuts.
     """
     lp = LpModel("min", name="master")
     for e in inst.edges:
@@ -186,13 +198,15 @@ def build_master(inst: Instance, cuts, *, shed_cap: float | None = None
     lp.add_var("worst_shed", lb=0.0,
                ub=shed_cap if shed_cap is not None else math.inf,
                obj=0.0 if shed_cap is not None else inst.penalty)
+    target = shed_cap if shed_cap is not None else 0.0
     for k, cut in enumerate(cuts):
+        floor = max(cut.constant - target, 0.0)
         coeffs: dict[str, float] = {"worst_shed": -1.0}
-        rhs = -cut.constant
         for eid, coef in cut.coefficients.items():
+            coef = max(coef, -floor)
             if coef != 0.0:
                 coeffs[f"build[{eid}]"] = coef
-        lp.add_row(f"cut[{k}]", coeffs, "<=", rhs)
+        lp.add_row(f"cut[{k}]", coeffs, "<=", -cut.constant)
     binaries = tuple(lp.var_id(f"build[{e.id}]") for e in inst.edges)
     return MilpModel(lp, binaries)
 
@@ -207,7 +221,7 @@ def _solve_master(inst, state, shed_cap, deadline):
             "no design satisfies the shortage cap")
     built = frozenset(
         e.id for e in inst.edges if sol.value(f"build[{e.id}]") > 0.5)
-    return DesignVector(built), sol.value("worst_shed"), sol.objective
+    return DesignVector(built), sol
 
 
 def _recheck_scenarios(inst, state, design, threshold, deadline):
@@ -269,12 +283,12 @@ def solve_benders(inst: Instance, *, shed_cap: float | None = None,
 
     while True:
         deadline.check("master solve")
-        design, shed_var, master_obj = _solve_master(
-            inst, state, shed_cap, deadline)
-        threshold = shed_cap if shed_cap is not None else shed_var
+        design, master = _solve_master(inst, state, shed_cap, deadline)
+        threshold = shed_cap if shed_cap is not None \
+            else master.value("worst_shed")
         added, worst_seen, worst_attack = _recheck_scenarios(
             inst, state, design, threshold, deadline)
-        state.record(master_obj, None, added)
+        state.record(master, None, added)
         if added == 0:
             return _finish(inst, state, design, worst_seen, worst_attack, "bd")
 
@@ -313,12 +327,12 @@ def solve_delayed(inst: Instance, *, shed_cap: float | None = None,
 
     while True:
         deadline.check("master solve")
-        design, shed_var, master_obj = _solve_master(
-            inst, state, shed_cap, deadline)
-        bound = shed_cap if shed_cap is not None else shed_var
+        design, master = _solve_master(inst, state, shed_cap, deadline)
+        bound = shed_cap if shed_cap is not None \
+            else master.value("worst_shed")
         violated, result = _separate(inst, design, bound, state, deadline)
         if violated is None:
-            state.record(master_obj, result.severity, 0)
+            state.record(master, result.severity, 0)
             # the worst_case rule: no attack when the worst shed needs none
             worst_attack = result.attack if result.attack is not None \
                 and result.attack.disrupted else None
@@ -327,7 +341,7 @@ def solve_delayed(inst: Instance, *, shed_cap: float | None = None,
         state.add_scenario(violated)
         added, _, _ = _recheck_scenarios(
             inst, state, design, bound, deadline)
-        state.record(master_obj, result.severity, added)
+        state.record(master, result.severity, added)
         if added == 0:
             raise RuntimeError(
                 "separation reported a violated scenario but no cut was "

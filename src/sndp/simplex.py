@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 
@@ -41,6 +42,10 @@ class LpError(RuntimeError):
 
 class LpNumericalError(LpError):
     """Numerical failure (cycling guard exhausted or singular basis)."""
+
+
+class SolveTimeout(LpError):
+    """Raised when a caller's deadline expires inside a solve."""
 
 
 class LpModel:
@@ -144,23 +149,6 @@ class LpModel:
         dup._dense = self._dense  # rows are append-only, safe to share
         return dup
 
-    def dump(self) -> str:
-        """Fixed-order text rendering for regression snapshots."""
-        lines = [f"{self.sense} {self.name}".rstrip()]
-        for idx, name in enumerate(self.var_names):
-            lines.append(
-                f"var {name} lb={self.lower[idx]:g} ub={self.upper[idx]:g} "
-                f"obj={self.objective[idx]:g}"
-            )
-        for pos, name in enumerate(self.row_names):
-            terms = " + ".join(
-                f"{coef:g}*{self.var_names[idx]}"
-                for idx, coef in sorted(self.row_coeffs[pos].items())
-            )
-            lines.append(f"row {name}: {terms or '0'} {self.row_relations[pos]} "
-                         f"{self.rhs[pos]:g}")
-        return "\n".join(lines) + "\n"
-
     def dense_matrix(self) -> np.ndarray:
         """Row-major coefficient matrix, cached until the model grows."""
         if self._dense is None or self._dense.shape != (self.num_rows,
@@ -194,13 +182,6 @@ class LpSolution:
         except ValueError:
             raise KeyError(f"unknown row {name!r}") from None
         return float(self.duals[pos])
-
-
-def dual_values(solution: LpSolution, row: str) -> float:
-    """Dual multiplier of a named row in an optimal solution."""
-    if solution.status != "optimal":
-        raise LpError("dual values are only defined for optimal solutions")
-    return solution.dual(row)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +335,8 @@ def _standardize(model: LpModel, lower: np.ndarray, upper: np.ndarray
 
 
 class _Tableau:
-    def __init__(self, std: _Standard, max_iters: int):
+    def __init__(self, std: _Standard, max_iters: int,
+                 deadline: float | None):
         self.std = std
         self.m, self.k = std.a.shape
         self.t = std.a.copy()
@@ -366,6 +348,7 @@ class _Tableau:
         self.at_upper = np.zeros(self.k, dtype=bool)
         self.allowed = np.ones(self.k, dtype=bool)
         self.max_iters = max_iters
+        self.deadline = deadline
         self.iterations = 0
         self.degenerate = 0
         self.bland = False
@@ -393,6 +376,10 @@ class _Tableau:
             eligible = down | up
             if not eligible.any():
                 return "optimal"
+            # a clock read is about 0.1 us against a pivot's ~200 us
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SolveTimeout(
+                    f"LP deadline expired after {self.iterations} pivots")
             if self.bland:
                 j = int(np.flatnonzero(eligible)[0])
             else:
@@ -515,15 +502,17 @@ def _nonbasic_values(tab: _Tableau) -> np.ndarray:
 
 
 def solve_lp(model: LpModel, *, max_iters: int = DEFAULT_MAX_ITERS,
-             bounds_override: dict[int, tuple[float, float]] | None = None
-             ) -> LpSolution:
+             bounds_override: dict[int, tuple[float, float]] | None = None,
+             deadline: float | None = None) -> LpSolution:
     """Solve a linear program, returning primal values and row duals.
 
     ``bounds_override`` maps variable indices to replacement (lb, ub) pairs
-    without mutating the model (used heavily by the tree search).  The
-    returned solution is verified by direct substitution: primal feasibility
-    within 1e-9, complementary slackness and strong duality within 1e-7
-    (scaled by problem magnitude).
+    without mutating the model (used heavily by the tree search).
+    ``deadline`` is an absolute time.monotonic() stamp, checked before every
+    pivot; crossing it raises SolveTimeout.  The returned solution is
+    verified by direct substitution: primal feasibility within 1e-9,
+    complementary slackness and strong duality within 1e-7 (scaled by
+    problem magnitude).
     """
     if model.num_vars == 0:
         raise ValueError("model has no variables")
@@ -543,7 +532,7 @@ def solve_lp(model: LpModel, *, max_iters: int = DEFAULT_MAX_ITERS,
             reduced_costs=np.full(model.num_vars, math.nan),
             var_names=var_names, row_names=row_names)
 
-    tab = _Tableau(std, max_iters)
+    tab = _Tableau(std, max_iters, deadline)
     scale = 1.0 + (float(np.abs(std.b).max()) if std.b.size else 0.0)
 
     if std.artificials.any():

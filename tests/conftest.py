@@ -1,9 +1,10 @@
-"""Shared fixtures: the two canonical three-node instances.
+"""Shared fixtures: the two canonical three-node instances, plus helpers.
 
 tri3a: one supply (10) and one demand node joined by three candidate edges of
 ample capacity; survivable under any single-edge attack once all three are
 built.  tri3b shrinks the direct edge to capacity 6, so no design survives a
-single-edge attack without shortage.
+single-edge attack without shortage.  ``rescaled`` copies an instance with
+data that need not be integral.
 """
 
 from __future__ import annotations
@@ -42,3 +43,14 @@ def tri3b() -> Instance:
         dataclasses.replace(e, u=6.0) if e.id == E13 else e for e in base.edges
     )
     return dataclasses.replace(base, edges=edges)
+
+
+def rescaled(inst, rng):
+    """A copy with b and u scaled by one factor in [0.01, 0.2] and attack
+    costs drawn from {0.5, 1, 1.5}, so no datum need be integral."""
+    factor = rng.uniform(0.01, 0.2)
+    nodes = tuple(dataclasses.replace(n, b=n.b * factor) for n in inst.nodes)
+    edges = tuple(dataclasses.replace(e, u=e.u * factor,
+                                      r=rng.choice((0.5, 1.0, 1.5)))
+                  for e in inst.edges)
+    return dataclasses.replace(inst, nodes=nodes, edges=edges)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -81,6 +82,40 @@ def random_mixed_model(rng, max_binaries=12):
     return MilpModel(lp, tuple(range(n_bin)))
 
 
+def master_shaped_model(rng, n_bin, shed_cap=None):
+    """A design master like ``build_master`` writes after clipping: binaries,
+    a worst-shed variable and cut rows whose coefficients repeat a few
+    values, so many branching candidates tie."""
+    lp = LpModel("min")
+    for j in range(n_bin):
+        lp.add_var(f"x{j}", lb=0, ub=1, obj=rng.randint(1, 9))
+    lp.add_var("theta", lb=0.0, ub=math.inf if shed_cap is None else shed_cap,
+               obj=0.0 if shed_cap is not None else rng.choice((8, 15, 30)))
+    for k in range(rng.randint(3, 8)):
+        constant = rng.choice((0.4, 0.6, 1.0))
+        step = rng.choice((0.2, constant))
+        coeffs = {f"x{j}": -step
+                  for j in rng.sample(range(n_bin), rng.randint(3, n_bin))}
+        coeffs["theta"] = -1.0
+        lp.add_row(f"cut[{k}]", coeffs, "<=", -constant)
+    return MilpModel(lp, tuple(range(n_bin)))
+
+
+def enumerate_master(model):
+    """Closed-form oracle for ``master_shaped_model``: at binary x the least
+    theta is max(0, every cut's value); the optimum scans every x at once."""
+    lp = model.lp
+    n, theta = len(model.binaries), lp.var_id("theta")
+    xs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+    dense = lp.dense_matrix()
+    least = np.zeros(2 ** n)
+    for pos in range(lp.num_rows):
+        least = np.maximum(least, dense[pos, :n] @ xs.T - lp.rhs[pos])
+    feasible = least <= lp.upper[theta] + 1e-9
+    costs = xs @ np.asarray(lp.objective[:n]) + lp.objective[theta] * least
+    return costs[feasible].min() if feasible.any() else None
+
+
 def test_random_models_match_bruteforce():
     rng = random.Random(100)
     for trial in range(100):
@@ -93,8 +128,14 @@ def test_random_models_match_bruteforce():
                 f"trial {trial}"
             assert all(abs(a.values[j] - round(a.values[j])) <= 1e-6
                        for j in model.binaries)
-            assert a.objective >= a.best_bound - 1e-6 \
-                if model.lp.sense == "min" else True
+    # master-shaped models: 12 binaries, cut rows of repeated coefficients
+    rng = random.Random(61)
+    for trial, shed_cap in enumerate((None, 0.3)):
+        model = master_shaped_model(rng, 12, shed_cap=shed_cap)
+        a, b = solve_milp(model), solve_bruteforce(model)
+        assert a.status == b.status == "optimal", f"master trial {trial}"
+        assert a.objective == pytest.approx(b.objective, abs=1e-6)
+        assert a.objective == pytest.approx(enumerate_master(model), abs=1e-6)
 
 
 def test_popped_bounds_nondecreasing_and_deterministic():
@@ -126,3 +167,18 @@ def test_binary_bound_validation():
     lp.add_row("r", {"x": 1.0}, ">=", 0.0)
     with pytest.raises(Exception, match="bounds"):
         MilpModel(lp, (0,))
+
+
+def test_master_shaped_models_match_enumeration():
+    rng = random.Random(62)
+    for trial in range(12):
+        model = master_shaped_model(rng, rng.randint(12, 16),
+                                    shed_cap=rng.choice((None, 0.1, 0.3)))
+        a, best = solve_milp(model), enumerate_master(model)
+        if best is None:
+            assert a.status == "infeasible", f"trial {trial}"
+            continue
+        assert a.status == "optimal", f"trial {trial}"
+        assert a.objective == pytest.approx(best, abs=1e-6), f"trial {trial}"
+        assert all(abs(a.values[j] - round(a.values[j])) <= 1e-6
+                   for j in model.binaries)

@@ -1,6 +1,9 @@
 import dataclasses
+import random
 
+import numpy as np
 import pytest
+from conftest import rescaled
 
 import sndp.decomposition
 from sndp.branch_and_bound import solve_milp
@@ -15,15 +18,18 @@ from sndp.decomposition import (
     solve_exhaustive,
 )
 from sndp.instances import (
+    EMPTY_ATTACK,
     AttackVector,
     DesignVector,
     Edge,
+    GeneratorSpec,
     Instance,
     Node,
     attack_cost,
+    generate_instance,
 )
 from sndp.maxflow import feasible_full_demand
-from sndp.recourse import evaluate_cut, make_cut, solve_recourse
+from sndp.recourse import BendersCut, evaluate_cut, make_cut, solve_recourse
 
 E12, E23, E13 = 0, 1, 2
 
@@ -101,6 +107,122 @@ def test_master_with_fixture_cuts_is_a_relaxation(tri3a):
     # the true optimum (build everything, no shed) satisfies every cut
     for cut in cuts:
         assert evaluate_cut(cut, allx, 0.0) <= 1e-7
+
+
+def _cut(constant, coefficients):
+    return BendersCut(constant, coefficients, EMPTY_ATTACK,
+                      DesignVector.from_ids([]))
+
+
+def _cut_rows(inst, master):
+    """Each master cut row as (constant, {edge id: coefficient})."""
+    lp = master.lp
+    edge_of = {lp.var_id(f"build[{e.id}]"): e.id for e in inst.edges}
+    rows = []
+    for pos, coeffs in enumerate(lp.row_coeffs):
+        assert coeffs[lp.var_id("worst_shed")] == -1.0
+        assert lp.row_relations[pos] == "<="
+        rows.append((-lp.rhs[pos], {edge_of[idx]: coef
+                                    for idx, coef in coeffs.items()
+                                    if idx in edge_of}))
+    return rows
+
+
+def test_master_clips_cut_coefficients(tri3a):
+    cut = _cut(0.6, {E12: -1.0, E23: -0.3, E13: 0.0})
+    # penalty mode: no coefficient below -constant
+    assert _cut_rows(tri3a, build_master(tri3a, [cut])) \
+        == [(0.6, {E12: -0.6, E23: -0.3})]
+    # shortage-cap mode: no coefficient below -(constant - shed_cap)
+    [(constant, coeffs)] = _cut_rows(
+        tri3a, build_master(tri3a, [cut], shed_cap=0.2))
+    assert constant == 0.6
+    assert coeffs == pytest.approx({E12: -0.4, E23: -0.3})
+    # a cut every design already meets keeps no build coefficient
+    assert _cut_rows(tri3a, build_master(tri3a, [cut], shed_cap=0.7)) \
+        == [(0.6, {})]
+    assert _cut_rows(tri3a, build_master(tri3a, [_cut(-0.1, {E12: -0.5})])) \
+        == [(-0.1, {})]
+    # the pool's cut is left unclipped
+    assert cut.coefficients == {E12: -1.0, E23: -0.3, E13: 0.0}
+
+
+def _least_theta(rows, xs):
+    """max(0, every row's value) at each binary design in ``xs``."""
+    least = np.zeros(len(xs))
+    for constant, coeffs in rows:
+        value = constant + sum(coef * xs[:, eid]
+                               for eid, coef in coeffs.items())
+        least = np.maximum(least, value)
+    return least
+
+
+def test_clipped_rows_keep_every_design():
+    # random pools of cuts with repeated coefficients on a multiple of 0.05,
+    # over up to 12 edges: at every binary design the clipped rows give the
+    # least theta of the pool (penalty mode) and the same feasibility under
+    # the cap (shortage-cap mode)
+    rng = random.Random(29)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        inst = Instance(
+            nodes=(Node(1, 1.0), Node(2, -1.0)),
+            edges=tuple(Edge(j, 1, 2, u=1.0, c=1.0, r=1.0) for j in range(n)),
+            budget=1.0, penalty=10.0)
+        steps = [0.05 * rng.randint(1, 12) for _ in range(2)]
+        cuts = [_cut(0.05 * rng.randint(-2, 16),
+                     {j: -rng.choice(steps) for j in range(n)
+                      if rng.random() < 0.7})
+                for _ in range(rng.randint(1, 6))]
+        xs = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        pool = [(c.constant, c.coefficients) for c in cuts]
+        least = _least_theta(pool, xs)
+        clipped = _least_theta(_cut_rows(inst, build_master(inst, cuts)), xs)
+        assert np.allclose(clipped, least, atol=1e-12), f"trial {trial}"
+        for cap in (0.0, 0.1, 0.3):
+            rows = _cut_rows(inst, build_master(inst, cuts, shed_cap=cap))
+            assert np.array_equal(_least_theta(rows, xs) <= cap + 1e-9,
+                                  least <= cap + 1e-9), f"trial {trial}"
+
+
+def test_delayed_matches_benders_on_rescaled_instances():
+    # clipped masters in both modes on data that need not be integral
+    rng = random.Random(8)
+    checked, seed = 0, 0
+    while checked < 6:
+        seed += 1
+        family = ("random", "grid", "replicated")[seed % 3]
+        inst = generate_instance(GeneratorSpec(
+            family, 4 + seed % 2, replication=2, seed=seed,
+            placement_seed=seed + 50))
+        if not 4 <= len(inst.candidate_ids) <= 10:
+            continue
+        inst = rescaled(dataclasses.replace(inst, budget=1.5), rng)
+        bd, dsg = solve_benders(inst), solve_delayed(inst)
+        assert dsg.objective == pytest.approx(
+            bd.objective, abs=1e-6 * (1 + abs(bd.objective))), family
+        for cap in (0.1, 0.3):
+            try:
+                expected = solve_benders(inst, shed_cap=cap).build_cost
+            except InfeasibleDesignError:
+                with pytest.raises(InfeasibleDesignError):
+                    solve_delayed(inst, shed_cap=cap)
+                continue
+            assert solve_delayed(inst, shed_cap=cap).build_cost \
+                == pytest.approx(expected, abs=1e-6), (family, cap)
+        checked += 1
+
+
+def test_clipping_and_pseudo_costs_shrink_the_master_tree():
+    # 6x6 ring, budget 2: 678 master nodes with unclipped cuts and
+    # most-fractional branching, 38 with both changes
+    ring = dataclasses.replace(generate_instance(
+        GeneratorSpec("replicated", 6, replication=6, seed=2,
+                      placement_seed=2)), budget=2.0)
+    sol = solve_delayed(ring)
+    assert sum(rec["master_nodes"] for rec in sol.iteration_log) <= 200
+    assert sol.objective == pytest.approx(solve_benders(ring).objective,
+                                          abs=1e-6)
 
 
 def test_duplicated_cut_changes_nothing(tri3b):

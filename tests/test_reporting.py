@@ -234,8 +234,10 @@ def test_iteration_log_lines(tri3b):
     assert len(lines) == len(sol.iteration_log)
     import json
     record = json.loads(lines[0])
-    assert {"t", "master_objective", "oracle_severity", "scenarios",
-            "cuts_added"} <= set(record)
+    assert {"t", "master_objective", "master_nodes", "oracle_severity",
+            "scenarios", "cuts_added"} <= set(record)
+    # every round solves at least the master's root node
+    assert all(json.loads(line)["master_nodes"] >= 1 for line in lines)
 
 
 def test_oracle_severity_is_a_shed_fraction():

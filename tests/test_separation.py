@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from conftest import rescaled
 
 from sndp.branch_and_bound import solve_milp
 from sndp.instances import (
@@ -106,17 +107,6 @@ def test_strong_model_from_milp_module(tri3b):
     sol = solve_milp(build_mincut_attack_milp(tri3b,
                                               DesignVector.all_edges(tri3b)))
     assert sol.objective == pytest.approx(6.0, abs=1e-6)
-
-
-def rescaled(inst, rng):
-    """A copy with b and u scaled by one factor in [0.01, 0.2] and attack
-    costs drawn from {0.5, 1, 1.5}, so no datum need be integral."""
-    factor = rng.uniform(0.01, 0.2)
-    nodes = tuple(dataclasses.replace(n, b=n.b * factor) for n in inst.nodes)
-    edges = tuple(dataclasses.replace(e, u=e.u * factor,
-                                      r=rng.choice((0.5, 1.0, 1.5)))
-                  for e in inst.edges)
-    return dataclasses.replace(inst, nodes=nodes, edges=edges)
 
 
 def test_oracles_agree_on_seeded_instances():

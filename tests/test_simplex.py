@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from sndp.instances import AttackVector, DesignVector
 from sndp.recourse import build_recourse_lp
-from sndp.simplex import LpModel, LpNumericalError, dual_values, solve_lp
+from sndp.simplex import LpModel, LpNumericalError, SolveTimeout, solve_lp
 
 
 def enumerate_vertices(model):
@@ -62,8 +63,8 @@ def test_box_maximum_with_duals():
     sol = solve_lp(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
-    assert dual_values(sol, "r1") == pytest.approx(1.0, abs=1e-9)
-    assert dual_values(sol, "r2") == pytest.approx(1.0, abs=1e-9)
+    assert sol.dual("r1") == pytest.approx(1.0, abs=1e-9)
+    assert sol.dual("r2") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible_detection():
@@ -92,7 +93,7 @@ def test_slack_row_has_zero_dual():
     m.add_row("binding", {"x": 1.0}, "<=", 1.0)
     m.add_row("slack", {"x": 1.0}, "<=", 5.0)
     sol = solve_lp(m)
-    assert abs(dual_values(sol, "slack")) <= 1e-9
+    assert abs(sol.dual("slack")) <= 1e-9
 
 
 def test_unknown_row_raises():
@@ -101,7 +102,7 @@ def test_unknown_row_raises():
     m.add_row("r", {"x": 1.0}, ">=", 1.0)
     sol = solve_lp(m)
     with pytest.raises(KeyError, match="unknown row"):
-        dual_values(sol, "nope")
+        sol.dual("nope")
 
 
 def test_recourse_lp_fixture_value(tri3b):
@@ -214,8 +215,36 @@ def test_pivot_limit_reports_basis():
         solve_lp(m, max_iters=0)
 
 
-def test_model_dump_is_stable():
-    m = LpModel("min", name="demo")
-    m.add_var("x", lb=0.0, ub=2.0, obj=1.5)
-    m.add_row("r", {"x": 2.0}, ">=", 1.0)
-    assert m.dump() == "min demo\nvar x lb=0 ub=2 obj=1.5\nrow r: 2*x >= 1\n"
+def _assignment_lp(n):
+    # n x n assignment LP: its phase one needs one pivot per row at least
+    m = LpModel("min")
+    for i in range(n):
+        for j in range(n):
+            m.add_var(f"x{i}_{j}", ub=1.0, obj=float((3 * i + 5 * j) % 7))
+    for i in range(n):
+        m.add_row(f"row{i}", {f"x{i}_{j}": 1.0 for j in range(n)}, "=", 1.0)
+        m.add_row(f"col{i}", {f"x{j}_{i}": 1.0 for j in range(n)}, "=", 1.0)
+    return m
+
+
+def test_expired_deadline_stops_the_pivot_loop():
+    model = _assignment_lp(6)
+    assert solve_lp(model).iterations > 6
+    with pytest.raises(SolveTimeout, match="after 0 pivots"):
+        solve_lp(model, deadline=time.monotonic() - 1.0)
+    later = solve_lp(model, deadline=time.monotonic() + 60.0)
+    assert later.objective == pytest.approx(solve_lp(model).objective)
+
+
+def test_milp_passes_its_deadline_to_each_lp(monkeypatch):
+    import sndp.branch_and_bound as bnb
+    seen = []
+    original = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: seen.append(
+        k.get("deadline")) or original(*a, **k))
+    lp = _assignment_lp(3)
+    stamp = time.monotonic() + 60.0
+    bnb.solve_milp(bnb.MilpModel(lp, tuple(range(lp.num_vars))),
+                   deadline=stamp)
+    assert seen and set(seen) == {stamp}
+    assert bnb.SolveTimeout is SolveTimeout
