@@ -16,12 +16,17 @@ import dataclasses
 import heapq
 import itertools
 import math
-import time
 
 import numpy as np
 
 # SolveTimeout lives in simplex (LPs check deadlines too) and is re-exported
-from sndp.simplex import LpError, LpModel, SolveTimeout, solve_lp
+from sndp.simplex import (
+    LpError,
+    LpModel,
+    SolveTimeout,
+    check_deadline,
+    solve_lp,
+)
 
 INT_TOL = 1e-6
 FATHOM_TOL = 1e-9
@@ -105,10 +110,9 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
     expanded node, in exploration order.
     """
     lp = model.lp
-    sense_mult = 1.0 if lp.sense == "min" else -1.0
     counter = itertools.count()
     incumbent: np.ndarray | None = None
-    incumbent_obj = math.inf  # internal (min) sense
+    incumbent_obj = math.inf
 
     pseudo = _PseudoCosts(lp.num_vars, model.binaries)
     nodes_solved = 0
@@ -118,8 +122,7 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
         nodes_solved += 1
         if nodes_solved > max_nodes:
             raise MilpError(f"node limit {max_nodes} exceeded")
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolveTimeout("MILP search deadline expired")
+        check_deadline(deadline, "MILP search deadline expired")
         sol = solve_lp(lp, bounds_override=bounds, deadline=deadline)
         if sol.status == "unbounded":
             raise MilpError("LP relaxation is unbounded")
@@ -128,7 +131,7 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
     root = solve_node({})
     heap: list = []
     if root.status == "optimal":
-        heapq.heappush(heap, (sense_mult * root.objective, next(counter), {}, root))
+        heapq.heappush(heap, (root.objective, next(counter), {}, root))
 
     while heap:
         bound, _, bounds, sol = heapq.heappop(heap)
@@ -151,7 +154,7 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
             child = solve_node(child_bounds)
             if child.status != "optimal":
                 continue
-            child_bound = sense_mult * child.objective
+            child_bound = child.objective
             pseudo.record(branch, side, child_bound - bound, moved)
             if child_bound < incumbent_obj - FATHOM_TOL:
                 heapq.heappush(heap, (child_bound, next(counter), child_bounds, child))
@@ -162,47 +165,6 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
             values=np.full(lp.num_vars, math.nan), node_count=nodes_solved,
             var_names=tuple(lp.var_names))
     return MilpSolution(
-        status="optimal", objective=sense_mult * incumbent_obj,
+        status="optimal", objective=incumbent_obj,
         values=incumbent, node_count=nodes_solved,
         var_names=tuple(lp.var_names))
-
-
-def solve_bruteforce(model: MilpModel) -> MilpSolution:
-    """Exhaustive test oracle: enumerate binary assignments, LP-solve the rest.
-
-    Limited to 20 binaries.  Assignments are visited in binary counting order
-    with the first optimum kept, so results are deterministic.
-    """
-    if len(model.binaries) > 20:
-        raise MilpError("brute force limited to 20 binary variables")
-    lp = model.lp
-    sense_mult = 1.0 if lp.sense == "min" else -1.0
-    best: np.ndarray | None = None
-    best_obj = math.inf
-    solved = 0
-    for assignment in itertools.product((0.0, 1.0), repeat=len(model.binaries)):
-        fixings = {}
-        for idx, val in zip(model.binaries, assignment):
-            lo, hi = lp.lower[idx], lp.upper[idx]
-            if val < lo - INT_TOL or val > hi + INT_TOL:
-                break
-            fixings[idx] = (val, val)
-        else:
-            sol = solve_lp(lp, bounds_override=fixings)
-            solved += 1
-            if sol.status != "optimal":
-                continue
-            internal = sense_mult * sol.objective
-            if internal < best_obj - FATHOM_TOL:
-                best_obj = internal
-                best = sol.values.copy()
-                for idx, val in zip(model.binaries, assignment):
-                    best[idx] = val
-    if best is None:
-        return MilpSolution(
-            status="infeasible", objective=math.nan,
-            values=np.full(lp.num_vars, math.nan), node_count=solved,
-            var_names=tuple(lp.var_names))
-    return MilpSolution(
-        status="optimal", objective=sense_mult * best_obj, values=best,
-        node_count=solved, var_names=tuple(lp.var_names))

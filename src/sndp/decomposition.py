@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 
-from sndp.branch_and_bound import MilpModel, SolveTimeout, solve_milp
+from sndp.branch_and_bound import MilpModel, solve_milp
 from sndp.instances import (
     AttackVector,
     DesignVector,
@@ -44,7 +44,7 @@ from sndp.separation import (
     find_mincut_attack,
     find_worst_attack,
 )
-from sndp.simplex import LpModel
+from sndp.simplex import LpModel, check_deadline
 
 VIOLATION_TOL = 1e-6
 DEFAULT_SCENARIO_CAP = 10 ** 7
@@ -117,15 +117,6 @@ class DesignSolution:
     iteration_log: tuple[dict, ...] = ()
 
 
-class _Deadline:
-    def __init__(self, time_limit: float | None):
-        self.stamp = None if time_limit is None else time.monotonic() + time_limit
-
-    def check(self, where: str) -> None:
-        if self.stamp is not None and time.monotonic() > self.stamp:
-            raise SolveTimeout(f"time limit expired during {where}")
-
-
 def _require_valid(inst: Instance) -> None:
     report = validate(inst)
     if not report.ok:
@@ -171,6 +162,14 @@ def count_scenarios(inst: Instance, edge_ids=None, *,
     return count, True
 
 
+def _list_scenarios(inst: Instance, cap: int, message: str) -> list:
+    """Every scenario, enumerated only once an exact count shows at most
+    ``cap``; raises ScenarioCapError(message) otherwise."""
+    if not count_scenarios(inst, cap=cap)[1]:
+        raise ScenarioCapError(message)
+    return list(enumerate_scenarios(inst, cap=cap))
+
+
 # ---------------------------------------------------------------------------
 # Restricted master problem
 
@@ -191,7 +190,7 @@ def build_master(inst: Instance, cuts, *, shed_cap: float | None = None
     strengthening; Savelsbergh, ORSA J. Computing 1994).  The pool keeps
     the unclipped cuts.
     """
-    lp = LpModel("min", name="master")
+    lp = LpModel("master")
     for e in inst.edges:
         lb = 1.0 if e.existing else 0.0
         lp.add_var(f"build[{e.id}]", lb=lb, ub=1.0, obj=e.c)
@@ -214,7 +213,7 @@ def build_master(inst: Instance, cuts, *, shed_cap: float | None = None
 def _solve_master(inst, state, shed_cap, deadline):
     t0 = time.perf_counter()
     milp = build_master(inst, state.cuts, shed_cap=shed_cap)
-    sol = solve_milp(milp, deadline=deadline.stamp)
+    sol = solve_milp(milp, deadline=deadline)
     state.timers["rmp"] += time.perf_counter() - t0
     if sol.status != "optimal":
         raise InfeasibleDesignError(
@@ -266,15 +265,10 @@ def solve_benders(inst: Instance, *, shed_cap: float | None = None,
     violated.  Every budget-feasible attack is enumerated up front, once the
     scenario count shows it fits under ``scenario_cap``."""
     _require_valid(inst)
-    deadline = _Deadline(time_limit)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     state = MasterState()
-    if not count_scenarios(inst, cap=scenario_cap)[1]:
-        raise ScenarioCapError(
-            f"more than {scenario_cap} scenarios to enumerate")
-    try:
-        scenarios = list(enumerate_scenarios(inst, cap=scenario_cap))
-    except SeparationError as exc:
-        raise ScenarioCapError(str(exc)) from exc
+    scenarios = _list_scenarios(
+        inst, scenario_cap, f"more than {scenario_cap} scenarios to enumerate")
     if not scenarios:
         # nothing is attackable; one empty scenario bounds the nominal shed
         scenarios = [EMPTY_ATTACK]
@@ -282,7 +276,7 @@ def solve_benders(inst: Instance, *, shed_cap: float | None = None,
     state.t = len(scenarios)
 
     while True:
-        deadline.check("master solve")
+        check_deadline(deadline, "time limit expired during master solve")
         design, master = _solve_master(inst, state, shed_cap, deadline)
         threshold = shed_cap if shed_cap is not None \
             else master.value("worst_shed")
@@ -307,10 +301,10 @@ def _separate(inst, design, bound, state, deadline):
     t0 = time.perf_counter()
     try:
         result = find_mincut_attack(inst, design, bound,
-                                    deadline=deadline.stamp)
+                                    deadline=deadline)
         if result.attack is None and bound > VIOLATION_TOL:
             return None, find_worst_attack(inst, design,
-                                           deadline=deadline.stamp)
+                                           deadline=deadline)
         return result.attack, result
     finally:
         state.timers["ndp"] += time.perf_counter() - t0
@@ -322,11 +316,11 @@ def solve_delayed(inst: Instance, *, shed_cap: float | None = None,
     proves them violated, then cut from the listed scenarios until the oracle
     certifies the incumbent design."""
     _require_valid(inst)
-    deadline = _Deadline(time_limit)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     state = MasterState()
 
     while True:
-        deadline.check("master solve")
+        check_deadline(deadline, "time limit expired during master solve")
         design, master = _solve_master(inst, state, shed_cap, deadline)
         bound = shed_cap if shed_cap is not None \
             else master.value("worst_shed")

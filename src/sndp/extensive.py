@@ -16,11 +16,9 @@ from sndp.branch_and_bound import MilpModel, solve_milp
 from sndp.decomposition import (
     DesignSolution,
     InfeasibleDesignError,
-    ScenarioCapError,
-    _Deadline,
+    _list_scenarios,
     _require_valid,
     build_cost,
-    enumerate_scenarios,
 )
 from sndp.instances import (
     AttackVector,
@@ -28,8 +26,7 @@ from sndp.instances import (
     EMPTY_ATTACK,
     Instance,
 )
-from sndp.recourse import price_scenarios, worst_case
-from sndp.separation import SeparationError
+from sndp.recourse import add_flow_block, price_scenarios, worst_case
 from sndp.simplex import LpModel
 
 DEFAULT_EF_SCENARIO_CAP = 2000
@@ -45,7 +42,7 @@ def build_extensive(inst: Instance, scenarios, *,
     """
     blocks: list[AttackVector] = [EMPTY_ATTACK]
     blocks.extend(s for s in scenarios if s != EMPTY_ATTACK)
-    lp = LpModel("min", name="extensive")
+    lp = LpModel("extensive")
     for e in inst.edges:
         lb = 1.0 if e.existing else 0.0
         lp.add_var(f"build[{e.id}]", lb=lb, ub=1.0, obj=e.c)
@@ -53,23 +50,10 @@ def build_extensive(inst: Instance, scenarios, *,
                ub=shed_cap if shed_cap is not None else math.inf,
                obj=0.0 if shed_cap is not None else inst.penalty)
     for s, attack in enumerate(blocks):
-        shed_s = f"shed[{s}]"
-        lp.add_var(shed_s, lb=0.0)
-        for e in inst.edges:
-            lp.add_var(f"flow[{s}:{e.id}:fwd]")
-            lp.add_var(f"flow[{s}:{e.id}:rev]")
+        shed_s = lp.add_var(f"shed[{s}]", lb=0.0)
         lp.add_row(f"dominate[{s}]", {shed_s: 1.0, "worst_shed": -1.0},
                    "<=", 0.0)
-        for n in inst.nodes:
-            coeffs: dict[str, float] = {shed_s: n.b}
-            for e in inst.edges:
-                for tag, tail, head in (("fwd", e.i, e.j), ("rev", e.j, e.i)):
-                    name = f"flow[{s}:{e.id}:{tag}]"
-                    if tail == n.id:
-                        coeffs[name] = coeffs.get(name, 0.0) + 1.0
-                    if head == n.id:
-                        coeffs[name] = coeffs.get(name, 0.0) - 1.0
-            lp.add_row(f"balance[{s}:{n.id}]", coeffs, "=", n.b)
+        add_flow_block(lp, inst, shed_s, f"{s}:")
         for e in inst.edges:
             for tag in ("fwd", "rev"):
                 name = f"flow[{s}:{e.id}:{tag}]"
@@ -92,16 +76,13 @@ def solve_extensive(inst: Instance, *,
     spend from it too.
     """
     _require_valid(inst)
-    deadline = _Deadline(time_limit)
-    try:
-        scenarios = list(enumerate_scenarios(inst, cap=scenario_cap))
-    except SeparationError as exc:
-        raise ScenarioCapError(
-            f"{exc}; use the delayed-scenario solver for this instance"
-        ) from exc
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    scenarios = _list_scenarios(
+        inst, scenario_cap, f"attack enumeration exceeds {scenario_cap}; "
+        "use the delayed-scenario solver for this instance")
     t0 = time.perf_counter()
     milp = build_extensive(inst, scenarios, shed_cap=shed_cap)
-    sol = solve_milp(milp, deadline=deadline.stamp)
+    sol = solve_milp(milp, deadline=deadline)
     elapsed = time.perf_counter() - t0
     if sol.status != "optimal":
         raise InfeasibleDesignError("no design satisfies the shortage cap")

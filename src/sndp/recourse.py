@@ -19,7 +19,7 @@ from sndp.instances import (
     restrict_attack,
 )
 from sndp.maxflow import feasible_full_demand
-from sndp.simplex import LpModel, solve_lp
+from sndp.simplex import LpModel, check_deadline, solve_lp
 
 CUT_TOL = 1e-9  # coefficient rounding used for cut deduplication
 WORST_TOL = 1e-12  # a shed must beat the worst so far by this to replace it
@@ -29,10 +29,9 @@ FWD, REV = 0, 1  # direction keys: FWD is i->j as the edge is stored
 
 @dataclasses.dataclass(frozen=True)
 class RecourseResult:
-    """Optimal shed fraction with primal flows and row duals."""
+    """Optimal shed fraction with row duals."""
 
     shed: float
-    flows: dict[tuple[int, int], float]      # (edge id, FWD/REV) -> flow
     node_duals: dict[int, float]             # balance-row multipliers
     arc_duals: dict[tuple[int, int], float]  # capacity-row multipliers, <= 0
     design: DesignVector
@@ -72,8 +71,18 @@ def _row_cap(edge_id: int, direction: int) -> str:
     return f"cap[{edge_id}:{'fwd' if direction == FWD else 'rev'}]"
 
 
-def _row_balance(node_id: int) -> str:
-    return f"balance[{node_id}]"
+def add_flow_block(model: LpModel, inst: Instance, shed: int,
+                   prefix: str) -> None:
+    """Add ``flow[{prefix}{edge}:fwd|rev]`` per edge, then one balance row
+    ``balance[{prefix}{node}]`` per node: outflow - inflow + b*shed == b."""
+    rows = {n.id: {shed: n.b} for n in inst.nodes}
+    for e in inst.edges:
+        for tag, tail, head in (("fwd", e.i, e.j), ("rev", e.j, e.i)):
+            flow = model.add_var(f"flow[{prefix}{e.id}:{tag}]")
+            rows[tail][flow] = rows[tail].get(flow, 0.0) + 1.0
+            rows[head][flow] = rows[head].get(flow, 0.0) - 1.0
+    for n in inst.nodes:
+        model.add_row(f"balance[{prefix}{n.id}]", rows[n.id], "=", n.b)
 
 
 def build_recourse_lp(inst: Instance, design: DesignVector,
@@ -88,48 +97,32 @@ def build_recourse_lp(inst: Instance, design: DesignVector,
     if not attack_consistent(design, attack):
         extra = sorted(attack.disrupted - design.built)
         raise ValueError(f"attack disrupts unbuilt edges {extra}")
-    model = LpModel("min", name="recourse")
-    shed = model.add_var("shed", lb=0.0, obj=1.0)
-    for e in inst.edges:
-        model.add_var(_var_f(e.id, FWD))
-        model.add_var(_var_f(e.id, REV))
-    for n in inst.nodes:
-        coeffs: dict[str, float] = {}
-        for e in inst.edges:
-            for direction, (tail, head) in ((FWD, (e.i, e.j)), (REV, (e.j, e.i))):
-                if tail == n.id:
-                    coeffs[_var_f(e.id, direction)] = \
-                        coeffs.get(_var_f(e.id, direction), 0.0) + 1.0
-                if head == n.id:
-                    coeffs[_var_f(e.id, direction)] = \
-                        coeffs.get(_var_f(e.id, direction), 0.0) - 1.0
-        coeffs["shed"] = n.b
-        model.add_row(_row_balance(n.id), coeffs, "=", n.b)
+    model = LpModel("recourse")
+    add_flow_block(model, inst, model.add_var("shed", lb=0.0, obj=1.0), "")
     for e in inst.edges:
         active = e.id in design.built and e.id not in attack.disrupted
         rhs = e.u if active else 0.0
         model.add_row(_row_cap(e.id, FWD), {_var_f(e.id, FWD): 1.0}, "<=", rhs)
         model.add_row(_row_cap(e.id, REV), {_var_f(e.id, REV): 1.0}, "<=", rhs)
-    del shed
     return model
 
 
 def solve_recourse(inst: Instance, design: DesignVector,
-                   attack: AttackVector) -> RecourseResult:
-    """Minimal shed fraction for the surviving network, with duals."""
+                   attack: AttackVector,
+                   deadline: float | None = None) -> RecourseResult:
+    """Minimal shed fraction for the surviving network, with duals.
+
+    ``deadline`` is an absolute time.monotonic() stamp for the LP's pivots.
+    """
     model = build_recourse_lp(inst, design, attack)
-    sol = solve_lp(model)
+    sol = solve_lp(model, deadline=deadline)
     if sol.status != "optimal":  # pragma: no cover - always feasible/bounded
         raise RuntimeError(f"recourse LP ended {sol.status}")
     shed = min(max(sol.value("shed"), 0.0), 1.0)
-    flows = {}
-    arc_duals = {}
-    for e in inst.edges:
-        for direction in (FWD, REV):
-            flows[(e.id, direction)] = sol.value(_var_f(e.id, direction))
-            arc_duals[(e.id, direction)] = sol.dual(_row_cap(e.id, direction))
-    node_duals = {n.id: sol.dual(_row_balance(n.id)) for n in inst.nodes}
-    return RecourseResult(shed=shed, flows=flows, node_duals=node_duals,
+    arc_duals = {(e.id, direction): sol.dual(_row_cap(e.id, direction))
+                 for e in inst.edges for direction in (FWD, REV)}
+    node_duals = {n.id: sol.dual(f"balance[{n.id}]") for n in inst.nodes}
+    return RecourseResult(shed=shed, node_duals=node_duals,
                           arc_duals=arc_duals, design=design, attack=attack)
 
 
@@ -140,8 +133,8 @@ def price_scenarios(inst: Instance, design: DesignVector, attacks,
     Each attack is restricted to the built edges; when the surviving network
     still routes all demand (one max-flow) it sheds nothing and is skipped,
     otherwise its recourse LP is solved on the restricted attack.
-    ``deadline`` (anything with a ``check(where)`` method) is checked before
-    each attack.
+    ``deadline``, an absolute time.monotonic() stamp or None, is checked
+    before each attack and passed to every recourse LP.
 
     Many attacks restrict to the same attack.  An outcome is kept only when
     restriction changed the attack, and every later attack with the same
@@ -152,14 +145,13 @@ def price_scenarios(inst: Instance, design: DesignVector, attacks,
     """
     priced = {}  # restricted attack -> recourse result, None if no shed
     for attack in attacks:
-        if deadline is not None:
-            deadline.check("scenario pricing")
+        check_deadline(deadline, "time limit expired during scenario pricing")
         effective = restrict_attack(attack, design)
         if effective in priced:
             result = priced[effective]
         else:
             result = None if feasible_full_demand(inst, design, effective) \
-                else solve_recourse(inst, design, effective)
+                else solve_recourse(inst, design, effective, deadline)
             if effective != attack:
                 priced[effective] = result
         if result is not None:
@@ -204,13 +196,3 @@ def make_cut(result: RecourseResult, inst: Instance,
                                         + result.arc_duals[(e.id, REV)])
     return BendersCut(constant=constant, coefficients=coefficients,
                       attack=scenario, design=result.design)
-
-
-def evaluate_cut(cut: BendersCut, design: DesignVector,
-                 worst_shed: float) -> float:
-    """Cut violation at (design, worst_shed); positive means violated."""
-    value = cut.constant
-    for eid, coef in cut.coefficients.items():
-        if eid in design.built:
-            value += coef
-    return value - worst_shed

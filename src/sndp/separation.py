@@ -15,7 +15,7 @@ any attack sheds more than a given bound:
 * ``find_worst_attack`` is Dinkelbach's ratio loop over it: raise the bound
   to each shed found until no attack beats it, which gives the exact worst
   shed;
-* exhaustive enumeration is the test oracle.
+* ``budget_attacks`` enumerates attacks for the explicit solvers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from sndp.instances import (
     EMPTY_ATTACK,
     Instance,
 )
-from sndp.recourse import solve_recourse
 from sndp.simplex import LpModel
 
 SEV_TOL = 1e-6
@@ -65,7 +64,7 @@ def build_mincut_attack_milp(inst: Instance, design: DesignVector,
     any optimum.  Augmentation arcs cannot be attacked; their capacities are
     the injections times ``scale``.
     """
-    model = LpModel("min", name="mincut-attack")
+    model = LpModel("mincut-attack")
     built = _built_edges(inst, design)
     for n in inst.nodes:
         model.add_var(f"side[{n.id}]", lb=0.0, ub=1.0)
@@ -153,7 +152,7 @@ def find_worst_attack(inst: Instance, design: DesignVector, *,
 
 
 # ---------------------------------------------------------------------------
-# Brute force: the test oracle
+# Attack enumeration
 
 
 def budget_attacks(inst: Instance, edge_ids, budget: float, *,
@@ -173,15 +172,3 @@ def budget_attacks(inst: Instance, edge_ids, budget: float, *,
                 if yielded > cap:
                     raise SeparationError(f"attack enumeration exceeds {cap}")
                 yield AttackVector(frozenset(combo))
-
-
-def find_worst_attack_bruteforce(inst: Instance, design: DesignVector, *,
-                                 cap: int = 10 ** 6) -> SeparationResult:
-    """Exact worst attack by enumerating every budget-feasible disruption."""
-    best_attack = EMPTY_ATTACK
-    best = solve_recourse(inst, design, EMPTY_ATTACK).shed
-    for attack in budget_attacks(inst, design.built, inst.budget, cap=cap):
-        shed = solve_recourse(inst, design, attack).shed
-        if shed > best + SEV_TOL:
-            best, best_attack = shed, attack
-    return SeparationResult(attack=best_attack, severity=best)

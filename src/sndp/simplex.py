@@ -1,5 +1,10 @@
 """Dense primal simplex with bounded variables, two phases and dual values.
 
+Supported model shape: minimization, every variable with a finite lower
+bound (the upper bound may be +inf), rows ``<=``, ``=`` or ``>=``.  This is
+the shape of every model sndp builds; a maximization is written as the
+minimization of the negated objective.
+
 The solver keeps an explicit tableau (basis inverse times the constraint
 matrix) in a numpy array, supports lower/upper variable bounds directly
 (nonbasic variables may sit at either bound), detects infeasibility through a
@@ -14,8 +19,7 @@ Dual sign convention: the reported row duals satisfy
     objective == sum_i dual_i * rhs_i  (+ reduced-cost terms for variables
                                         sitting at nonzero finite bounds)
 
-so in a minimization problem duals of ``<=`` rows are <= 0 and duals of
-``>=`` rows are >= 0; both signs flip for maximization.
+so duals of ``<=`` rows are <= 0 and duals of ``>=`` rows are >= 0.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ FEAS_TOL = 1e-9        # primal feasibility tolerance
 DUAL_TOL = 1e-7        # duality-gap / complementary-slackness tolerance
 STEP_TOL = 1e-12       # ratio-test steps at or below this are degenerate
 BLAND_TRIGGER = 1000   # degenerate pivots before switching to Bland's rule
-DEFAULT_MAX_ITERS = 50000
+MAX_ITERS = 50000      # pivots per solve before LpNumericalError
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -48,17 +52,22 @@ class SolveTimeout(LpError):
     """Raised when a caller's deadline expires inside a solve."""
 
 
+def check_deadline(stamp: float | None, message: str) -> None:
+    """Raise SolveTimeout(message) once the absolute time.monotonic() stamp
+    has passed; a None stamp never expires."""
+    if stamp is not None and time.monotonic() > stamp:
+        raise SolveTimeout(message)
+
+
 class LpModel:
     """A linear program with named variables and rows.
 
-    Variables carry bounds (+-inf allowed) and an objective coefficient; rows
-    are linear constraints with relation ``<=``, ``=`` or ``>=``.
+    The objective is minimized.  Variables carry a finite lower bound, an
+    upper bound (+inf allowed) and an objective coefficient; rows are linear
+    constraints with relation ``<=``, ``=`` or ``>=``.
     """
 
-    def __init__(self, sense: str = "min", name: str = ""):
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        self.sense = sense
+    def __init__(self, name: str = ""):
         self.name = name
         self.var_names: list[str] = []
         self.lower: list[float] = []
@@ -82,8 +91,8 @@ class LpModel:
             raise ValueError(f"variable {name!r}: bad bounds or objective")
         if lb > ub:
             raise ValueError(f"variable {name!r}: lower bound exceeds upper bound")
-        if lb == math.inf or ub == -math.inf:
-            raise ValueError(f"variable {name!r}: bounds admit no finite value")
+        if math.isinf(lb):
+            raise ValueError(f"variable {name!r}: lower bound must be finite")
         idx = len(self.var_names)
         self.var_names.append(name)
         self.lower.append(float(lb))
@@ -134,21 +143,6 @@ class LpModel:
     def num_rows(self) -> int:
         return len(self.row_names)
 
-    def copy(self) -> "LpModel":
-        dup = LpModel(self.sense, self.name)
-        dup.var_names = list(self.var_names)
-        dup.lower = list(self.lower)
-        dup.upper = list(self.upper)
-        dup.objective = list(self.objective)
-        dup.row_names = list(self.row_names)
-        dup.row_coeffs = [dict(c) for c in self.row_coeffs]
-        dup.row_relations = list(self.row_relations)
-        dup.rhs = list(self.rhs)
-        dup._var_lookup = dict(self._var_lookup)
-        dup._row_lookup = dict(self._row_lookup)
-        dup._dense = self._dense  # rows are append-only, safe to share
-        return dup
-
     def dense_matrix(self) -> np.ndarray:
         """Row-major coefficient matrix, cached until the model grows."""
         if self._dense is None or self._dense.shape != (self.num_rows,
@@ -187,145 +181,70 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 # Standard-form translation
 #
-# Internally every variable is shifted/negated/split to have lower bound zero
-# and upper bound in (0, +inf]; each row gets b >= 0 by sign normalization and
-# a slack (<=), a surplus plus artificial (>=), or an artificial (=).
+# Internally every variable is shifted by its lower bound to have lower bound
+# zero, one column each; each row gets b >= 0 by sign normalization and a
+# slack (<=), a surplus plus artificial (>=), or an artificial (=).
 
 
 @dataclasses.dataclass
 class _Standard:
     a: np.ndarray           # m x k constraint matrix, all equalities
     b: np.ndarray           # m, nonnegative
-    cost: np.ndarray        # k, phase-two objective (internal min sense)
+    cost: np.ndarray        # k, phase-two objective
     upper: np.ndarray       # k, upper bounds (inf allowed)
-    col_var: list[int]      # structural column -> original variable index
-    col_sign: list[float]   # +-1 per structural column
-    shifts: np.ndarray      # per original variable
     row_sigma: np.ndarray   # +-1 per kept row
-    kept_rows: list[int]    # original row index per tableau row
-    n_struct: int
+    kept_rows: np.ndarray   # original row index per tableau row
     artificials: np.ndarray  # bool per column
-    basis_hint: list[int]   # starting basic column per row
-    obj_const: float
+    basis_hint: np.ndarray  # starting basic column per row
 
 
 def _standardize(model: LpModel, lower: np.ndarray, upper: np.ndarray
                  ) -> tuple[_Standard | None, str | None]:
     """Translate to computational form; returns (standard, infeasible_reason)."""
-    sense_mult = 1.0 if model.sense == "min" else -1.0
     n = model.num_vars
-    c_orig = sense_mult * np.asarray(model.objective)
-
     if (lower > upper + FEAS_TOL).any():
         j = int(np.argmax(lower > upper + FEAS_TOL))
         return None, f"variable {model.var_names[j]} has empty bound interval"
 
-    lo_fin = np.isfinite(lower)
-    hi_fin = np.isfinite(upper)
-    free = ~lo_fin & ~hi_fin
-    neg = ~lo_fin & hi_fin  # substituted as x = ub - x'
-
-    shifts = np.where(lo_fin, lower, np.where(neg, upper, 0.0))
-    col_var = list(np.flatnonzero(~free)) + [j for j in np.flatnonzero(free)
-                                             for _ in (0, 1)]
-    col_sign_arr = np.where(neg, -1.0, 1.0)[np.flatnonzero(~free)]
-    col_sign = list(col_sign_arr) + [s for _ in np.flatnonzero(free)
-                                     for s in (1.0, -1.0)]
-    span = upper - lower
-    col_upper = list(np.where(neg[~free], np.inf,
-                              np.maximum(span[~free], 0.0))) \
-        + [math.inf] * (2 * int(free.sum()))
-    col_var_arr = np.array(col_var, dtype=int)
-    col_sign_vec = np.array(col_sign)
-    col_cost = list(c_orig[col_var_arr] * col_sign_vec)
-    n_struct = len(col_var)
-    obj_const = float(c_orig @ shifts)
-
     dense = model.dense_matrix()
-    m_all = model.num_rows
-    if m_all:
-        b_adj_all = np.asarray(model.rhs) - dense @ shifts
-        struct_all = dense[:, col_var_arr] * col_sign_vec
-        nonempty = np.array([bool(c) for c in model.row_coeffs])
-    else:
-        b_adj_all = np.zeros(0)
-        struct_all = np.zeros((0, n_struct))
-        nonempty = np.zeros(0, dtype=bool)
+    b_adj = np.asarray(model.rhs) - dense @ lower
+    rels = np.array(model.row_relations, dtype="U2")
+    le, ge = rels == "<=", rels == ">="
+    nonempty = dense.any(axis=1)
+    # an empty row is either trivially satisfied or infeasible
+    unsat = ~nonempty & np.where(le, b_adj < -FEAS_TOL, np.where(
+        ge, b_adj > FEAS_TOL, np.abs(b_adj) > FEAS_TOL))
+    if unsat.any():
+        i = int(np.argmax(unsat))
+        return None, f"row {model.row_names[i]} is unsatisfiable"
 
-    kept_rows: list[int] = []
-    row_sigma_list: list[float] = []
-    rows_a: list[np.ndarray] = []
-    rows_b: list[float] = []
-    row_relations: list[str] = []
-    for i in range(m_all):
-        b_adj = float(b_adj_all[i])
-        rel = model.row_relations[i]
-        if not nonempty[i]:
-            # empty row: either trivially satisfied or infeasible
-            ok = ((rel == "<=" and b_adj >= -FEAS_TOL)
-                  or (rel == ">=" and b_adj <= FEAS_TOL)
-                  or (rel == "=" and abs(b_adj) <= FEAS_TOL))
-            if not ok:
-                return None, f"row {model.row_names[i]} is unsatisfiable"
-            continue
-        sigma = -1.0 if b_adj < 0 else 1.0
-        if sigma < 0:
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        kept_rows.append(i)
-        row_sigma_list.append(sigma)
-        rows_a.append(sigma * struct_all[i])
-        rows_b.append(sigma * b_adj)
-        row_relations.append(rel)
-
-    m = len(kept_rows)
-    extra_cols: list[np.ndarray] = []
-    extra_cost: list[float] = []
-    extra_upper: list[float] = []
-    extra_art: list[bool] = []
-
-    def add_col(row_idx: int, coef: float, artificial: bool) -> None:
-        col = np.zeros(m)
-        col[row_idx] = coef
-        extra_cols.append(col)
-        extra_cost.append(0.0)
-        extra_upper.append(math.inf)
-        extra_art.append(artificial)
-
-    basis_hint: list[int] = []
-    for i, rel in enumerate(row_relations):
-        if rel == "<=":
-            add_col(i, 1.0, False)
-            basis_hint.append(n_struct + len(extra_cols) - 1)
-        elif rel == ">=":
-            add_col(i, -1.0, False)  # surplus
-            add_col(i, 1.0, True)    # artificial
-            basis_hint.append(n_struct + len(extra_cols) - 1)
-        else:
-            add_col(i, 1.0, True)
-            basis_hint.append(n_struct + len(extra_cols) - 1)
-
-    a = np.zeros((m, n_struct + len(extra_cols)))
-    if m:
-        a[:, :n_struct] = np.array(rows_a)
-        for k, col in enumerate(extra_cols):
-            a[:, n_struct + k] = col
-    artificials = np.zeros(n_struct + len(extra_cols), dtype=bool)
-    for k, is_art in enumerate(extra_art):
-        artificials[n_struct + k] = is_art
+    kept = np.flatnonzero(nonempty)
+    flip = b_adj[kept] < 0
+    sigma = np.where(flip, -1.0, 1.0)
+    le, ge = (np.where(flip, ge[kept], le[kept]),
+              np.where(flip, le[kept], ge[kept]))
+    # per row: a slack (<=), a surplus then an artificial (>=), or an
+    # artificial (=); the row's last column starts basic
+    width = np.where(ge, 2, 1)
+    last = n - 1 + np.cumsum(width)
+    m, k = kept.size, n + int(width.sum())
+    rows = np.arange(m)
+    a = np.zeros((m, k))
+    a[:, :n] = sigma[:, None] * dense[kept]
+    a[rows[ge], last[ge] - 1] = -1.0
+    a[rows, last] = 1.0
+    artificials = np.zeros(k, dtype=bool)
+    artificials[last[~le]] = True
     std = _Standard(
         a=a,
-        b=np.array(rows_b) if m else np.zeros(0),
-        cost=np.array(col_cost + extra_cost),
-        upper=np.array(col_upper + extra_upper),
-        col_var=col_var,
-        col_sign=col_sign,
-        shifts=shifts,
-        row_sigma=np.array(row_sigma_list) if m else np.zeros(0),
-        kept_rows=kept_rows,
-        n_struct=n_struct,
+        b=sigma * b_adj[kept],
+        cost=np.concatenate([np.asarray(model.objective), np.zeros(k - n)]),
+        upper=np.concatenate([np.maximum(upper - lower, 0.0),
+                              np.full(k - n, math.inf)]),
+        row_sigma=sigma,
+        kept_rows=kept,
         artificials=artificials,
-        basis_hint=basis_hint,
-        obj_const=obj_const,
+        basis_hint=last,
     )
     return std, None
 
@@ -335,19 +254,16 @@ def _standardize(model: LpModel, lower: np.ndarray, upper: np.ndarray
 
 
 class _Tableau:
-    def __init__(self, std: _Standard, max_iters: int,
-                 deadline: float | None):
+    def __init__(self, std: _Standard, deadline: float | None):
         self.std = std
         self.m, self.k = std.a.shape
         self.t = std.a.copy()
         self.xb = std.b.copy()
-        self.basis = np.array(std.basis_hint, dtype=int) \
-            if self.m else np.zeros(0, dtype=int)
+        self.basis = std.basis_hint.copy()
         self.in_basis = np.zeros(self.k, dtype=bool)
         self.in_basis[self.basis] = True
         self.at_upper = np.zeros(self.k, dtype=bool)
         self.allowed = np.ones(self.k, dtype=bool)
-        self.max_iters = max_iters
         self.deadline = deadline
         self.iterations = 0
         self.degenerate = 0
@@ -365,7 +281,7 @@ class _Tableau:
         z = self.reduced_costs(cost)
         refresh = 0
         while True:
-            if self.iterations >= self.max_iters:
+            if self.iterations >= MAX_ITERS:
                 raise LpNumericalError(
                     "pivot limit reached; basis: "
                     + ",".join(str(b) for b in self.basis[:50])
@@ -377,9 +293,8 @@ class _Tableau:
             if not eligible.any():
                 return "optimal"
             # a clock read is about 0.1 us against a pivot's ~200 us
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SolveTimeout(
-                    f"LP deadline expired after {self.iterations} pivots")
+            check_deadline(self.deadline,
+                           f"LP deadline expired after {self.iterations} pivots")
             if self.bland:
                 j = int(np.flatnonzero(eligible)[0])
             else:
@@ -501,7 +416,7 @@ def _nonbasic_values(tab: _Tableau) -> np.ndarray:
     return vals
 
 
-def solve_lp(model: LpModel, *, max_iters: int = DEFAULT_MAX_ITERS,
+def solve_lp(model: LpModel, *,
              bounds_override: dict[int, tuple[float, float]] | None = None,
              deadline: float | None = None) -> LpSolution:
     """Solve a linear program, returning primal values and row duals.
@@ -522,17 +437,10 @@ def solve_lp(model: LpModel, *, max_iters: int = DEFAULT_MAX_ITERS,
         for idx, (lo, hi) in bounds_override.items():
             lower[idx], upper[idx] = lo, hi
     std, reason = _standardize(model, lower, upper)
-    var_names = tuple(model.var_names)
-    row_names = tuple(model.row_names)
     if std is None:
-        return LpSolution(
-            status="infeasible", objective=math.nan,
-            values=np.full(model.num_vars, math.nan),
-            duals=np.full(model.num_rows, math.nan),
-            reduced_costs=np.full(model.num_vars, math.nan),
-            var_names=var_names, row_names=row_names)
+        return _no_optimum(model, "infeasible", 0)
 
-    tab = _Tableau(std, max_iters, deadline)
+    tab = _Tableau(std, deadline)
     scale = 1.0 + (float(np.abs(std.b).max()) if std.b.size else 0.0)
 
     if std.artificials.any():
@@ -540,12 +448,7 @@ def solve_lp(model: LpModel, *, max_iters: int = DEFAULT_MAX_ITERS,
         tab.run(cost1, phase_one=True)
         phase1 = float(cost1[tab.basis] @ tab.xb) if tab.m else 0.0
         if phase1 > DUAL_TOL * scale:
-            return LpSolution(
-                status="infeasible", objective=math.nan,
-                values=np.full(model.num_vars, math.nan),
-                duals=np.full(model.num_rows, math.nan),
-                reduced_costs=np.full(model.num_vars, math.nan),
-                var_names=var_names, row_names=row_names, iterations=tab.iterations)
+            return _no_optimum(model, "infeasible", tab.iterations)
         tab.drive_out_artificials()
         tab.allowed[std.artificials] = False
         # nonbasic artificials are pinned at zero
@@ -553,36 +456,31 @@ def solve_lp(model: LpModel, *, max_iters: int = DEFAULT_MAX_ITERS,
 
     status = tab.run(std.cost, phase_one=False)
     if status == "unbounded":
-        return _unbounded_solution(model, std, tab, var_names, row_names)
-    return _finalize(model, std, tab, var_names, row_names, lower, upper)
-
-
-def _unbounded_solution(model, std, tab, var_names, row_names) -> LpSolution:
-    # certificate ray from the entering column that had no blocking bound
-    ray = np.zeros(model.num_vars)
-    if tab.unbounded_col is not None:
+        # certificate ray from the entering column that had no blocking bound
         j, delta = tab.unbounded_col
         step = np.zeros(tab.k)
         step[j] = delta
-        if tab.m:
-            step[tab.basis] = -delta * tab.t[:, j]
-        for col in range(std.n_struct):
-            ray[std.col_var[col]] += std.col_sign[col] * step[col]
+        step[tab.basis] = -delta * tab.t[:, j]
+        return _no_optimum(model, "unbounded", tab.iterations,
+                           ray=step[:model.num_vars])
+    return _finalize(model, std, tab, lower, upper)
+
+
+def _no_optimum(model: LpModel, status: str, iterations: int,
+                ray: np.ndarray | None = None) -> LpSolution:
+    """An infeasible or unbounded result: NaN values and duals."""
     return LpSolution(
-        status="unbounded",
-        objective=-math.inf if model.sense == "min" else math.inf,
+        status=status,
+        objective=-math.inf if status == "unbounded" else math.nan,
         values=np.full(model.num_vars, math.nan),
         duals=np.full(model.num_rows, math.nan),
         reduced_costs=np.full(model.num_vars, math.nan),
-        var_names=var_names, row_names=row_names,
-        ray=ray,
-        iterations=tab.iterations)
+        var_names=tuple(model.var_names), row_names=tuple(model.row_names),
+        ray=ray, iterations=iterations)
 
 
 def _finalize(model: LpModel, std: _Standard, tab: _Tableau,
-              var_names, row_names, lower: np.ndarray, upper: np.ndarray
-              ) -> LpSolution:
-    sense_mult = 1.0 if model.sense == "min" else -1.0
+              lower: np.ndarray, upper: np.ndarray) -> LpSolution:
     m = tab.m
     if m:
         basis_cols = std.a[:, tab.basis]
@@ -600,13 +498,10 @@ def _finalize(model: LpModel, std: _Standard, tab: _Tableau,
         x_std = _nonbasic_values(tab)
         y = np.zeros(0)
 
-    values = std.shifts.copy()
-    np.add.at(values, np.array(std.col_var, dtype=int),
-              np.array(std.col_sign) * x_std[:std.n_struct])
+    values = lower + x_std[:model.num_vars]
 
     duals = np.zeros(model.num_rows)
-    if std.kept_rows:
-        duals[np.array(std.kept_rows)] = std.row_sigma * y * sense_mult
+    duals[std.kept_rows] = std.row_sigma * y
 
     objective = float(np.asarray(model.objective) @ values)
 
@@ -616,8 +511,8 @@ def _finalize(model: LpModel, std: _Standard, tab: _Tableau,
     _verify(model, dense, values, duals, reduced, objective, lower, upper)
     return LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,
-        reduced_costs=reduced, var_names=var_names, row_names=row_names,
-        iterations=tab.iterations)
+        reduced_costs=reduced, var_names=tuple(model.var_names),
+        row_names=tuple(model.row_names), iterations=tab.iterations)
 
 
 def _verify(model: LpModel, dense: np.ndarray, values: np.ndarray,

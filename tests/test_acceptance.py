@@ -13,6 +13,7 @@ import random
 import time
 
 import pytest
+from oracles import evaluate_cut, find_worst_attack_bruteforce
 
 from sndp.branch_and_bound import solve_milp
 from sndp.decomposition import (
@@ -33,13 +34,12 @@ from sndp.instances import (
     restrict_attack,
 )
 from sndp.maxflow import FlowGraph, max_flow, min_cut_bruteforce
-from sndp.recourse import FWD, REV, evaluate_cut, make_cut, solve_recourse
+from sndp.recourse import FWD, REV, make_cut, solve_recourse
 from sndp.reporting import bench, bench_csv, sweep_tradeoff, verify_design
 from sndp.separation import (
     build_mincut_attack_milp,
     find_mincut_attack,
     find_worst_attack,
-    find_worst_attack_bruteforce,
 )
 
 E12, E23, E13 = 0, 1, 2

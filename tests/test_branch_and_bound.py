@@ -3,12 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from oracles import solve_bruteforce
 
-from sndp.branch_and_bound import (
-    MilpModel,
-    solve_bruteforce,
-    solve_milp,
-)
+from sndp.branch_and_bound import MilpModel, solve_milp
 from sndp.decomposition import build_master
 from sndp.instances import DesignVector
 from sndp.separation import build_mincut_attack_milp
@@ -16,7 +13,7 @@ from sndp.simplex import LpModel
 
 
 def knapsack_pair():
-    lp = LpModel("min")
+    lp = LpModel()
     lp.add_var("x1", lb=0, ub=1, obj=-1.0)
     lp.add_var("x2", lb=0, ub=1, obj=-1.0)
     lp.add_row("pick_one", {"x1": 1.0, "x2": 1.0}, "<=", 1.0)
@@ -47,7 +44,7 @@ def test_master_with_no_cuts_builds_nothing(tri3a):
 
 
 def test_infeasible_fixings():
-    lp = LpModel("min")
+    lp = LpModel()
     lp.add_var("x", lb=0, ub=1, obj=1.0)
     lp.add_row("force", {"x": 1.0}, ">=", 2.0)
     model = MilpModel(lp, (0,))
@@ -56,22 +53,25 @@ def test_infeasible_fixings():
 
 
 def test_continuous_model_equals_lp():
-    lp = LpModel("max")
-    lp.add_var("x", lb=0, ub=3, obj=2.0)
+    lp = LpModel()
+    lp.add_var("x", lb=0, ub=3, obj=-2.0)
     lp.add_row("r", {"x": 1.0}, "<=", 2.5)
     sol = solve_milp(MilpModel(lp, ()))
-    assert sol.objective == pytest.approx(5.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-5.0, abs=1e-9)
     assert sol.node_count == 1
 
 
 def random_mixed_model(rng, max_binaries=12):
     n_bin = rng.randint(1, max_binaries)
     n_cont = rng.randint(0, 3)
-    lp = LpModel(rng.choice(["min", "max"]))
+    # a drawn maximization is minimized with the negated objective
+    sign = -1 if rng.choice(["min", "max"]) == "max" else 1
+    lp = LpModel()
     for j in range(n_bin):
-        lp.add_var(f"b{j}", lb=0, ub=1, obj=rng.randint(-5, 5))
+        lp.add_var(f"b{j}", lb=0, ub=1, obj=sign * rng.randint(-5, 5))
     for j in range(n_cont):
-        lp.add_var(f"c{j}", lb=0, ub=rng.randint(1, 6), obj=rng.randint(-3, 3))
+        lp.add_var(f"c{j}", lb=0, ub=rng.randint(1, 6),
+                   obj=sign * rng.randint(-3, 3))
     total = n_bin + n_cont
     for i in range(rng.randint(1, 6)):
         picks = rng.sample(range(total), rng.randint(1, total))
@@ -86,7 +86,7 @@ def master_shaped_model(rng, n_bin, shed_cap=None):
     """A design master like ``build_master`` writes after clipping: binaries,
     a worst-shed variable and cut rows whose coefficients repeat a few
     values, so many branching candidates tie."""
-    lp = LpModel("min")
+    lp = LpModel()
     for j in range(n_bin):
         lp.add_var(f"x{j}", lb=0, ub=1, obj=rng.randint(1, 9))
     lp.add_var("theta", lb=0.0, ub=math.inf if shed_cap is None else shed_cap,
@@ -153,7 +153,7 @@ def test_popped_bounds_nondecreasing_and_deterministic():
 
 
 def test_bruteforce_size_limit():
-    lp = LpModel("min")
+    lp = LpModel()
     for j in range(21):
         lp.add_var(f"b{j}", lb=0, ub=1, obj=1.0)
     lp.add_row("r", {0: 1.0}, ">=", 0.0)
@@ -162,7 +162,7 @@ def test_bruteforce_size_limit():
 
 
 def test_binary_bound_validation():
-    lp = LpModel("min")
+    lp = LpModel()
     lp.add_var("x", lb=0, ub=2, obj=1.0)
     lp.add_row("r", {"x": 1.0}, ">=", 0.0)
     with pytest.raises(Exception, match="bounds"):

@@ -1,11 +1,14 @@
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
 from conftest import rescaled
+from oracles import evaluate_cut
 
 import sndp.decomposition
+import sndp.recourse
 from sndp.branch_and_bound import solve_milp
 from sndp.decomposition import (
     InfeasibleDesignError,
@@ -29,7 +32,7 @@ from sndp.instances import (
     generate_instance,
 )
 from sndp.maxflow import feasible_full_demand
-from sndp.recourse import BendersCut, evaluate_cut, make_cut, solve_recourse
+from sndp.recourse import BendersCut, make_cut, solve_recourse
 
 E12, E23, E13 = 0, 1, 2
 
@@ -91,6 +94,18 @@ def test_benders_cap_checked_before_enumeration(tri3a, monkeypatch):
     with pytest.raises(ScenarioCapError):
         solve_benders(dataclasses.replace(tri3a, budget=3.0), scenario_cap=2)
     assert started == []
+
+
+def test_benders_passes_its_deadline_to_every_recourse_lp(tri3b, monkeypatch):
+    seen = []
+    original = sndp.recourse.solve_lp
+    monkeypatch.setattr(sndp.recourse, "solve_lp", lambda *a, **k: seen.append(
+        k.get("deadline")) or original(*a, **k))
+    start = time.monotonic()
+    solve_benders(tri3b, time_limit=60.0)
+    end = time.monotonic()
+    assert len(seen) > 0 and len(set(seen)) == 1
+    assert start + 60.0 <= seen[0] <= end + 60.0
 
 
 def test_master_with_fixture_cuts_is_a_relaxation(tri3a):

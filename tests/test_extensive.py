@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import sndp.decomposition
 from sndp.decomposition import (
     ScenarioCapError,
     enumerate_scenarios,
@@ -81,6 +82,21 @@ def test_scenario_cap_error_suggests_delayed(tri3a):
     big = dataclasses.replace(tri3a, budget=2.0)
     with pytest.raises(ScenarioCapError, match="delayed"):
         solve_extensive(big, scenario_cap=3)
+
+
+def test_cap_checked_before_enumeration(tri3a, monkeypatch):
+    # uniform attack costs: the closed-form count (7) already exceeds the cap
+    started = []
+
+    def enumerate_nothing(*args, **kwargs):
+        started.append(args)
+        return iter(())
+
+    monkeypatch.setattr(sndp.decomposition, "budget_attacks",
+                        enumerate_nothing)
+    with pytest.raises(ScenarioCapError, match="delayed"):
+        solve_extensive(dataclasses.replace(tri3a, budget=3.0), scenario_cap=2)
+    assert started == []
 
 
 def test_time_limit_counts_from_entry(tri3b, monkeypatch):

@@ -4,6 +4,7 @@ import random
 import weakref
 
 import pytest
+from oracles import evaluate_cut
 
 import sndp.recourse
 from sndp.decomposition import enumerate_scenarios
@@ -20,12 +21,12 @@ from sndp.recourse import (
     FWD,
     REV,
     build_recourse_lp,
-    evaluate_cut,
     make_cut,
     price_scenarios,
     solve_recourse,
 )
 from sndp.separation import budget_attacks
+from sndp.simplex import solve_lp
 
 E12, E23, E13 = 0, 1, 2
 
@@ -68,17 +69,21 @@ def test_shed_fixtures(tri3a, tri3b):
 
 
 def test_result_invariants(tri3b):
-    res = solve_recourse(tri3b, DesignVector.all_edges(tri3b),
-                         AttackVector.from_ids([E12]))
+    design = DesignVector.all_edges(tri3b)
+    attack = AttackVector.from_ids([E12])
+    res = solve_recourse(tri3b, design, attack)
     assert 0.0 <= res.shed <= 1.0
     assert all(v <= 1e-9 for v in res.arc_duals.values())
+    sol = solve_lp(build_recourse_lp(tri3b, design, attack))
+    flows = {(e.id, d): sol.value(f"flow[{e.id}:{tag}]")
+             for e in tri3b.edges for d, tag in ((FWD, "fwd"), (REV, "rev"))}
     for n in tri3b.nodes:  # balance: out - in == b (1 - shed)
         net = 0.0
         for e in tri3b.edges:
             if e.i == n.id:
-                net += res.flows[(e.id, FWD)] - res.flows[(e.id, REV)]
+                net += flows[(e.id, FWD)] - flows[(e.id, REV)]
             if e.j == n.id:
-                net += res.flows[(e.id, REV)] - res.flows[(e.id, FWD)]
+                net += flows[(e.id, REV)] - flows[(e.id, FWD)]
         assert net == pytest.approx(n.b * (1 - res.shed), abs=1e-9)
 
 
@@ -212,9 +217,9 @@ def test_scan_reuses_the_price_of_a_restriction(monkeypatch):
             reference.append((attack, solve_recourse(inst, design, effective)))
     calls = []
 
-    def counted(i, d, a):
+    def counted(i, d, a, deadline=None):
         calls.append(a)
-        return solve_recourse(i, d, a)
+        return solve_recourse(i, d, a, deadline)
     monkeypatch.setattr(sndp.recourse, "solve_recourse", counted)
     priced = list(price_scenarios(inst, design, attacks))
     # the same pairs in the same order, results equal to the last bit

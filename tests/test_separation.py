@@ -3,6 +3,7 @@ import random
 
 import pytest
 from conftest import rescaled
+from oracles import find_worst_attack_bruteforce
 
 from sndp.branch_and_bound import solve_milp
 from sndp.instances import (
@@ -19,7 +20,6 @@ from sndp.separation import (
     budget_attacks,
     find_mincut_attack,
     find_worst_attack,
-    find_worst_attack_bruteforce,
 )
 
 E12, E23, E13 = 0, 1, 2

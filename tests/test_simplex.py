@@ -8,6 +8,7 @@ import pytest
 
 from sndp.instances import AttackVector, DesignVector
 from sndp.recourse import build_recourse_lp
+import sndp.simplex
 from sndp.simplex import LpModel, LpNumericalError, SolveTimeout, solve_lp
 
 
@@ -49,26 +50,27 @@ def enumerate_vertices(model):
         if not ok:
             continue
         obj = float(np.array(model.objective) @ x)
-        if best is None or (obj < best if model.sense == "min" else obj > best):
+        if best is None or obj < best:
             best = obj
     return best
 
 
 def test_box_maximum_with_duals():
-    m = LpModel("max")
-    m.add_var("x1", obj=1.0)
-    m.add_var("x2", obj=1.0)
+    # maximize x1 + x2 as the minimization of -x1 - x2
+    m = LpModel()
+    m.add_var("x1", obj=-1.0)
+    m.add_var("x2", obj=-1.0)
     m.add_row("r1", {"x1": 1.0}, "<=", 1.0)
     m.add_row("r2", {"x2": 1.0}, "<=", 1.0)
     sol = solve_lp(m)
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(2.0, abs=1e-9)
-    assert sol.dual("r1") == pytest.approx(1.0, abs=1e-9)
-    assert sol.dual("r2") == pytest.approx(1.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+    assert sol.dual("r1") == pytest.approx(-1.0, abs=1e-9)
+    assert sol.dual("r2") == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_infeasible_detection():
-    m = LpModel("min")
+    m = LpModel()
     m.add_var("x1", obj=0.0)
     m.add_row("low", {"x1": 1.0}, ">=", 1.0)
     m.add_row("high", {"x1": 1.0}, "<=", 0.0)
@@ -76,7 +78,7 @@ def test_infeasible_detection():
 
 
 def test_unbounded_returns_improving_ray():
-    m = LpModel("min")
+    m = LpModel()
     m.add_var("x", obj=-1.0)
     m.add_var("y", obj=0.0)
     m.add_row("tie", {"x": 1.0, "y": -1.0}, "<=", 2.0)
@@ -88,8 +90,8 @@ def test_unbounded_returns_improving_ray():
 
 
 def test_slack_row_has_zero_dual():
-    m = LpModel("max")
-    m.add_var("x", obj=1.0, ub=1.0)
+    m = LpModel()
+    m.add_var("x", obj=-1.0, ub=1.0)
     m.add_row("binding", {"x": 1.0}, "<=", 1.0)
     m.add_row("slack", {"x": 1.0}, "<=", 5.0)
     sol = solve_lp(m)
@@ -97,7 +99,7 @@ def test_slack_row_has_zero_dual():
 
 
 def test_unknown_row_raises():
-    m = LpModel("min")
+    m = LpModel()
     m.add_var("x", obj=1.0)
     m.add_row("r", {"x": 1.0}, ">=", 1.0)
     sol = solve_lp(m)
@@ -125,12 +127,16 @@ def test_random_lps_match_vertex_enumeration():
     checked = 0
     for trial in range(200):
         n = rng.randint(1, 5)
-        m = LpModel(rng.choice(["min", "max"]))
+        # a drawn maximization is minimized with the negated objective and
+        # compared negated; a drawn -inf lower bound becomes -10
+        sign = -1 if rng.choice(["min", "max"]) == "max" else 1
+        m = LpModel()
         for j in range(n):
             lb = rng.choice([0.0, float(-rng.randint(0, 3)), -math.inf])
             ub = rng.choice([math.inf, (lb if math.isfinite(lb) else 0.0)
                              + rng.randint(1, 6)])
-            m.add_var(f"x{j}", lb=lb, ub=ub, obj=rng.randint(-4, 4))
+            m.add_var(f"x{j}", lb=max(lb, -10.0), ub=ub,
+                      obj=sign * rng.randint(-4, 4))
         for i in range(rng.randint(1, 5)):
             picks = rng.sample(range(n), rng.randint(1, n))
             coeffs = {f"x{k}": rng.randint(-3, 3) for k in picks}
@@ -141,7 +147,8 @@ def test_random_lps_match_vertex_enumeration():
         ref = enumerate_vertices(m)
         if sol.status == "optimal" and ref is not None:
             checked += 1
-            assert sol.objective == pytest.approx(ref, abs=1e-7, rel=1e-7)
+            assert sign * sol.objective \
+                == pytest.approx(sign * ref, abs=1e-7, rel=1e-7)
         elif sol.status == "infeasible":
             assert ref is None
     assert checked >= 40  # the sample must actually exercise optimal solves
@@ -151,7 +158,7 @@ def test_strong_duality_and_slackness_on_random_optimal_lps():
     rng = random.Random(9)
     for trial in range(100):
         n = rng.randint(1, 6)
-        m = LpModel("min")
+        m = LpModel()
         for j in range(n):
             m.add_var(f"x{j}", lb=0.0, ub=rng.randint(2, 9),
                       obj=rng.randint(-4, 4))
@@ -196,7 +203,7 @@ def test_identical_models_solve_identically(tri3a):
 
 def test_degenerate_lp_terminates():
     # many redundant rows through the same vertex force degenerate pivots
-    m = LpModel("min")
+    m = LpModel()
     for j in range(4):
         m.add_var(f"x{j}", obj=-1.0, ub=1.0)
     for i in range(12):
@@ -207,17 +214,27 @@ def test_degenerate_lp_terminates():
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_pivot_limit_reports_basis():
-    m = LpModel("min")
+def test_pivot_limit_reports_basis(monkeypatch):
+    monkeypatch.setattr(sndp.simplex, "MAX_ITERS", 0)
+    m = LpModel()
     m.add_var("x", obj=1.0)
     m.add_row("r", {"x": 1.0}, ">=", 1.0)
     with pytest.raises(LpNumericalError, match="basis"):
-        solve_lp(m, max_iters=0)
+        solve_lp(m)
+
+
+def test_add_var_rejects_infinite_lower_bound():
+    m = LpModel()
+    for lb, ub in ((-math.inf, 0.0), (-math.inf, math.inf),
+                   (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="lower bound"):
+            m.add_var("x", lb=lb, ub=ub)
+    assert m.num_vars == 0
 
 
 def _assignment_lp(n):
     # n x n assignment LP: its phase one needs one pivot per row at least
-    m = LpModel("min")
+    m = LpModel()
     for i in range(n):
         for j in range(n):
             m.add_var(f"x{i}_{j}", ub=1.0, obj=float((3 * i + 5 * j) % 7))
