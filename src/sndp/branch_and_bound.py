@@ -6,8 +6,14 @@ creation order.  Branching is by pseudo-costs (Achterberg, Koch and Martin,
 and each records, for its variable and side, the bound gain per unit moved.
 A fractional binary scores the product of its expected down and up gains;
 the highest score branches, lowest index on ties.  Pseudo-costs live for one
-solve, so the search is deterministic.  No cutting planes, warm starts or
-presolve: problem-specific strengthening belongs to the callers.
+solve, so the search is deterministic.
+
+Every child re-solves from its parent's optimal basis: an open node keeps
+only that basis (on its LP solution), and ``solve_lp`` rebuilds the tableau
+with one factorization and runs the bounded dual simplex under the child's
+bounds, falling back to a cold solve when that path cannot finish.  No
+cutting planes or presolve: problem-specific strengthening belongs to the
+callers.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from sndp.simplex import (
 
 INT_TOL = 1e-6
 FATHOM_TOL = 1e-9
+MAX_NODES = 200000  # LP relaxations per search before MilpError
 
 
 class MilpError(LpError):
@@ -100,8 +107,7 @@ class _PseudoCosts:
         return int(idx[np.argmax(ties)])
 
 
-def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
-               deadline: float | None = None,
+def solve_milp(model: MilpModel, *, deadline: float | None = None,
                node_trace: list | None = None) -> MilpSolution:
     """Solve to an absolute optimality gap of 1e-6 with deterministic search.
 
@@ -117,18 +123,19 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
     pseudo = _PseudoCosts(lp.num_vars, model.binaries)
     nodes_solved = 0
 
-    def solve_node(bounds):
+    def solve_node(bounds, basis):
         nonlocal nodes_solved
         nodes_solved += 1
-        if nodes_solved > max_nodes:
-            raise MilpError(f"node limit {max_nodes} exceeded")
+        if nodes_solved > MAX_NODES:
+            raise MilpError(f"node limit {MAX_NODES} exceeded")
         check_deadline(deadline, "MILP search deadline expired")
-        sol = solve_lp(lp, bounds_override=bounds, deadline=deadline)
+        sol = solve_lp(lp, bounds_override=bounds, basis=basis,
+                       deadline=deadline)
         if sol.status == "unbounded":
             raise MilpError("LP relaxation is unbounded")
         return sol
 
-    root = solve_node({})
+    root = solve_node({}, None)
     heap: list = []
     if root.status == "optimal":
         heapq.heappush(heap, (root.objective, next(counter), {}, root))
@@ -151,7 +158,7 @@ def solve_milp(model: MilpModel, *, max_nodes: int = 200000,
                                                (1.0, 1.0 - value))):
             child_bounds = dict(bounds)
             child_bounds[branch] = (fixed, fixed)
-            child = solve_node(child_bounds)
+            child = solve_node(child_bounds, sol.basis)
             if child.status != "optimal":
                 continue
             child_bound = child.objective

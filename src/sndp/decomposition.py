@@ -5,8 +5,8 @@ variable bounded from below by the optimality cuts found so far) with
 separation:
 
 * the explicit driver re-prices every enumerated scenario each round and
-  adds all violated cuts; scenarios that agree on the built edges reuse one
-  max-flow screen and recourse LP (see ``price_scenarios``);
+  adds all violated cuts; scenarios that agree on the built edges share one
+  max-flow screen and recourse LP per round;
 * the delayed driver asks an oracle for one violated scenario, lists it, and
   re-checks only the listed scenarios, so the exponential scenario space is
   searched implicitly.
@@ -30,6 +30,7 @@ from sndp.instances import (
     DesignVector,
     EMPTY_ATTACK,
     Instance,
+    restrict_attack,
     validate,
 )
 from sndp.recourse import (
@@ -226,11 +227,18 @@ def _solve_master(inst, state, shed_cap, deadline):
 def _recheck_scenarios(inst, state, design, threshold, deadline):
     """Re-price listed scenarios at the current design and add violated cuts.
 
-    Returns the number of cuts added, the worst shed seen and the attack
-    that attains it.
+    Each distinct restriction of the listed scenarios to the built edges is
+    priced once, in first-seen order; every scenario then cuts from its
+    restriction's duals.  Returns the number of cuts added, the worst shed
+    seen and the attack that attains it.
     """
     t0 = time.perf_counter()
-    priced = list(price_scenarios(inst, design, state.scenarios, deadline))
+    restricted = [restrict_attack(s, design) for s in state.scenarios]
+    outcome = dict(price_scenarios(inst, design, dict.fromkeys(restricted),
+                                   deadline))
+    priced = [(scenario, outcome[effective])
+              for scenario, effective in zip(state.scenarios, restricted)
+              if effective in outcome]
     added = 0
     for scenario, result in priced:
         if result.shed > threshold + VIOLATION_TOL \

@@ -1,4 +1,4 @@
-"""Dense primal simplex with bounded variables, two phases and dual values.
+"""Dense simplex with bounded variables: two-phase primal, warm dual, duals.
 
 Supported model shape: minimization, every variable with a finite lower
 bound (the upper bound may be +inf), rows ``<=``, ``=`` or ``>=``.  This is
@@ -13,6 +13,22 @@ ray.  On termination the basic solution and the row duals are recomputed from
 a fresh factorization of the final basis, which removes accumulated pivot
 drift before the built-in feasibility, complementary-slackness and
 strong-duality checks run.
+
+Warm start.  A model caches its standard form, built once at its own bounds;
+a solve in that form reports its final basis (basic columns plus the
+nonbasic columns at their upper bound).  Given such a basis and tighter
+bounds (a branch-and-bound child), ``solve_lp`` rebuilds the tableau with one
+factorization of the basis, which stays dual feasible, and runs the bounded
+dual simplex (Koberstein, "The dual simplex method: techniques for a fast and
+stable implementation", PhD thesis, Paderborn 2005): the basic variable most
+outside its bounds leaves, and the entering column minimizes
+``|z_j| / |alpha_rj|`` over the nonbasic columns that move it back, ties to
+the largest ``|alpha_rj|``; no such column proves the node infeasible, which
+a Farkas row from a fresh factorization confirms.  The primal loop then
+confirms optimality by its own test, and the result passes the same final
+factorization and checks as a cold solve.  Whenever this path cannot finish
+the LP is solved cold.  All three loops (primal, dual and the drive-out of
+artificials after phase one) share one pivot routine.
 
 Dual sign convention: the reported row duals satisfy
 
@@ -80,6 +96,7 @@ class LpModel:
         self._var_lookup: dict[str, int] = {}
         self._row_lookup: dict[str, int] = {}
         self._dense: np.ndarray | None = None
+        self._standard: tuple[_Standard | None] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -99,7 +116,7 @@ class LpModel:
         self.upper.append(float(ub))
         self.objective.append(float(obj))
         self._var_lookup[name] = idx
-        self._dense = None
+        self._dense = self._standard = None
         return idx
 
     def add_row(self, name: str, coeffs, relation: str, rhs: float) -> int:
@@ -124,7 +141,7 @@ class LpModel:
         self.row_relations.append(relation)
         self.rhs.append(float(rhs))
         self._row_lookup[name] = pos
-        self._dense = None
+        self._dense = self._standard = None
         return pos
 
     def var_id(self, name: str) -> int:
@@ -154,6 +171,14 @@ class LpModel:
             self._dense = a
         return self._dense
 
+    def standard_form(self) -> _Standard | None:
+        """Computational form at the model's own bounds, None when an empty
+        row makes the model infeasible; cached until the model grows."""
+        if self._standard is None:
+            self._standard = (_standardize(self, np.array(self.lower),
+                                           np.array(self.upper)),)
+        return self._standard[0]
+
 
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
@@ -166,6 +191,9 @@ class LpSolution:
     row_names: tuple[str, ...]
     ray: np.ndarray | None = None
     iterations: int = 0
+    # (basic column per row, nonbasic columns at their upper bound) in the
+    # model's cached standard form; None after a solve in another form
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
@@ -181,7 +209,7 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 # Standard-form translation
 #
-# Internally every variable is shifted by its lower bound to have lower bound
+# Internally every variable is shifted by a lower bound to have lower bound
 # zero, one column each; each row gets b >= 0 by sign normalization and a
 # slack (<=), a surplus plus artificial (>=), or an artificial (=).
 
@@ -189,9 +217,10 @@ class LpSolution:
 @dataclasses.dataclass
 class _Standard:
     a: np.ndarray           # m x k constraint matrix, all equalities
-    b: np.ndarray           # m, nonnegative
+    b: np.ndarray           # m, nonnegative at the shift
     cost: np.ndarray        # k, phase-two objective
     upper: np.ndarray       # k, upper bounds (inf allowed)
+    shift: np.ndarray       # n, lower bound each variable is shifted by
     row_sigma: np.ndarray   # +-1 per kept row
     kept_rows: np.ndarray   # original row index per tableau row
     artificials: np.ndarray  # bool per column
@@ -199,12 +228,12 @@ class _Standard:
 
 
 def _standardize(model: LpModel, lower: np.ndarray, upper: np.ndarray
-                 ) -> tuple[_Standard | None, str | None]:
-    """Translate to computational form; returns (standard, infeasible_reason)."""
+                 ) -> _Standard | None:
+    """Translate to computational form; None when a bound interval is empty
+    or an empty row is unsatisfiable."""
     n = model.num_vars
     if (lower > upper + FEAS_TOL).any():
-        j = int(np.argmax(lower > upper + FEAS_TOL))
-        return None, f"variable {model.var_names[j]} has empty bound interval"
+        return None
 
     dense = model.dense_matrix()
     b_adj = np.asarray(model.rhs) - dense @ lower
@@ -215,8 +244,7 @@ def _standardize(model: LpModel, lower: np.ndarray, upper: np.ndarray
     unsat = ~nonempty & np.where(le, b_adj < -FEAS_TOL, np.where(
         ge, b_adj > FEAS_TOL, np.abs(b_adj) > FEAS_TOL))
     if unsat.any():
-        i = int(np.argmax(unsat))
-        return None, f"row {model.row_names[i]} is unsatisfiable"
+        return None
 
     kept = np.flatnonzero(nonempty)
     flip = b_adj[kept] < 0
@@ -235,58 +263,117 @@ def _standardize(model: LpModel, lower: np.ndarray, upper: np.ndarray
     a[rows, last] = 1.0
     artificials = np.zeros(k, dtype=bool)
     artificials[last[~le]] = True
-    std = _Standard(
+    return _Standard(
         a=a,
         b=sigma * b_adj[kept],
         cost=np.concatenate([np.asarray(model.objective), np.zeros(k - n)]),
         upper=np.concatenate([np.maximum(upper - lower, 0.0),
                               np.full(k - n, math.inf)]),
+        shift=lower,
         row_sigma=sigma,
         kept_rows=kept,
         artificials=artificials,
         basis_hint=last,
     )
-    return std, None
 
 
 # ---------------------------------------------------------------------------
-# Core simplex loop
+# Core simplex loops
 
 
 class _Tableau:
-    def __init__(self, std: _Standard, deadline: float | None):
+    """B^-1 A and the basic values of one basis, with per-column bounds
+    ``lo``/``hi`` in the shifted space.  A nonbasic column sits at ``hi``
+    where ``at_upper`` is set and at ``lo`` elsewhere, so a fixed column
+    (lo == hi) is its own bound whichever flag it carries."""
+
+    def __init__(self, std: _Standard, lo: np.ndarray, hi: np.ndarray,
+                 deadline: float | None, basis: np.ndarray | None = None,
+                 at_upper: np.ndarray | None = None):
+        """Start at the slack basis, or at ``basis`` with ``at_upper``, whose
+        tableau one factorization rebuilds (LinAlgError when singular)."""
         self.std = std
         self.m, self.k = std.a.shape
-        self.t = std.a.copy()
-        self.xb = std.b.copy()
-        self.basis = std.basis_hint.copy()
+        self.lo, self.hi = lo, hi
+        if basis is None:
+            self.t = std.a.copy()
+            self.xb = std.b.copy()
+            self.basis = std.basis_hint.copy()
+            self.at_upper = np.zeros(self.k, dtype=bool)
+        else:
+            solved = np.linalg.solve(std.a[:, basis],
+                                     np.column_stack((std.a, std.b)))
+            self.t, self.xb = solved[:, :-1], solved[:, -1]
+            self.basis = basis.copy()
+            self.at_upper = at_upper & np.isfinite(hi)
         self.in_basis = np.zeros(self.k, dtype=bool)
         self.in_basis[self.basis] = True
-        self.at_upper = np.zeros(self.k, dtype=bool)
-        self.allowed = np.ones(self.k, dtype=bool)
+        if basis is not None:
+            self.at_upper &= ~self.in_basis
+            self.xb -= self.t @ self.nonbasic_values()
         self.deadline = deadline
         self.iterations = 0
         self.degenerate = 0
         self.bland = False
         self.unbounded_col: tuple[int, float] | None = None
 
+    def nonbasic_values(self) -> np.ndarray:
+        """Every column's value with the basic ones set to zero."""
+        vals = np.where(self.at_upper, self.hi, self.lo)
+        vals[self.in_basis] = 0.0
+        return vals
+
+    def movable(self) -> np.ndarray:
+        return ~self.in_basis & (self.hi - self.lo > STEP_TOL)
+
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         z = cost - self.t.T @ cost[self.basis] if self.m else cost.copy()
         z[self.basis] = 0.0
         return z
 
+    def check_pivot_limit(self) -> None:
+        if self.iterations >= MAX_ITERS:
+            raise LpNumericalError(
+                "pivot limit reached; basis: "
+                + ",".join(str(b) for b in self.basis[:50])
+            )
+
+    def pivot(self, r: int, j: int, dx: float, z: np.ndarray | None = None,
+              leaving_at_upper: bool = False) -> None:
+        """Column j enters the basis at row r, having moved by ``dx`` from
+        its bound; the leaving column rests at its upper bound when
+        ``leaving_at_upper`` and at its lower bound otherwise.  The reduced
+        costs ``z``, when given, are updated in place."""
+        entering_value = (self.hi[j] if self.at_upper[j] else self.lo[j]) + dx
+        if dx:
+            self.xb -= dx * self.t[:, j]
+        self.xb[r] = entering_value
+        self.t[r] /= self.t[r, j]
+        factors = self.t[:, j].copy()
+        factors[r] = 0.0
+        self.t -= np.outer(factors, self.t[r])
+        self.t[:, j] = 0.0
+        self.t[r, j] = 1.0
+        if z is not None:
+            zj = z[j]
+            if abs(zj) > 0:
+                z -= zj * self.t[r]
+            z[j] = 0.0
+        leaving = int(self.basis[r])
+        self.at_upper[leaving] = leaving_at_upper
+        self.in_basis[leaving] = False
+        self.at_upper[j] = False
+        self.in_basis[j] = True
+        self.basis[r] = j
+
     def run(self, cost: np.ndarray, phase_one: bool) -> str:
-        """Pivot until optimal for the given costs; returns 'optimal'/'unbounded'."""
-        std = self.std
+        """Primal simplex until optimal for the given costs; returns
+        'optimal'/'unbounded'."""
         z = self.reduced_costs(cost)
         refresh = 0
         while True:
-            if self.iterations >= MAX_ITERS:
-                raise LpNumericalError(
-                    "pivot limit reached; basis: "
-                    + ",".join(str(b) for b in self.basis[:50])
-                )
-            movable = self.allowed & ~self.in_basis & (std.upper > STEP_TOL)
+            self.check_pivot_limit()
+            movable = self.movable()
             down = movable & ~self.at_upper & (z < -FEAS_TOL)
             up = movable & self.at_upper & (z > FEAS_TOL)
             eligible = down | up
@@ -305,13 +392,15 @@ class _Tableau:
             e = delta * d
 
             # ratio test: entering bound flip vs basic variables hitting bounds
-            t_own = std.upper[j]
+            t_own = self.hi[j] - self.lo[j]
             t_rows = np.full(self.m, math.inf)
             to_upper = np.zeros(self.m, dtype=bool)
             if self.m:
-                basic_upper = std.upper[self.basis]
+                basic_lower = self.lo[self.basis]
+                basic_upper = self.hi[self.basis]
                 pos = e > PIVOT_TOL
-                t_rows[pos] = np.maximum(self.xb[pos], 0.0) / e[pos]
+                t_rows[pos] = np.maximum(self.xb[pos] - basic_lower[pos], 0.0) \
+                    / e[pos]
                 neg = (e < -PIVOT_TOL) & np.isfinite(basic_upper)
                 if neg.any():
                     t_rows[neg] = np.maximum(basic_upper[neg] - self.xb[neg], 0.0) \
@@ -350,26 +439,7 @@ class _Tableau:
                 self.degenerate += 1
                 if self.degenerate >= BLAND_TRIGGER:
                     self.bland = True
-            leaving = int(self.basis[r])
-            entering_value = (std.upper[j] if self.at_upper[j] else 0.0) + delta * step
-            self.xb -= step * e
-            self.xb[r] = entering_value
-            self.at_upper[leaving] = bool(to_upper[r])
-            self.in_basis[leaving] = False
-            self.at_upper[j] = False
-            self.in_basis[j] = True
-            self.basis[r] = j
-            piv = self.t[r, j]
-            self.t[r] /= piv
-            factors = self.t[:, j].copy()
-            factors[r] = 0.0
-            self.t -= np.outer(factors, self.t[r])
-            self.t[:, j] = 0.0
-            self.t[r, j] = 1.0
-            zj = z[j]
-            if abs(zj) > 0:
-                z -= zj * self.t[r]
-            z[j] = 0.0
+            self.pivot(r, j, delta * step, z, bool(to_upper[r]))
             refresh += 1
             if refresh >= 200:
                 z = self.reduced_costs(cost)
@@ -378,51 +448,93 @@ class _Tableau:
     def _fail_unbounded(self):  # pragma: no cover - phase one is always bounded
         raise LpNumericalError("phase-one objective unbounded")
 
+    def run_dual(self, cost: np.ndarray) -> str:
+        """Bounded dual simplex from a dual feasible basis: 'optimal' once
+        every basic value lies within its bounds, 'infeasible' when the row
+        of the leaving variable has no entering candidate and a fresh
+        factorization confirms it.  A basis that is not dual feasible, or an
+        unconfirmed infeasibility, raises LpNumericalError."""
+        z = self.reduced_costs(cost)
+        movable = self.movable()
+        if ((movable & ~self.at_upper & (z < -DUAL_TOL))
+                | (movable & self.at_upper & (z > DUAL_TOL))).any():
+            raise LpNumericalError("start basis is not dual feasible")
+        while True:
+            self.check_pivot_limit()
+            if not self.m:
+                return "optimal"
+            basic_lower = self.lo[self.basis]
+            basic_upper = self.hi[self.basis]
+            below = basic_lower - self.xb
+            outside = np.maximum(below, self.xb - basic_upper)
+            r = int(np.argmax(outside))
+            if outside[r] <= FEAS_TOL:
+                return "optimal"
+            check_deadline(self.deadline,
+                           f"LP deadline expired after {self.iterations} pivots")
+            rise = bool(below[r] > 0)  # the leaving variable climbs to lo
+            alpha = self.t[r]
+            # a nonbasic moving off its lower (upper) bound changes the
+            # leaving variable at rate -alpha (+alpha)
+            rate = np.where(self.at_upper, alpha, -alpha)
+            toward = rate > PIVOT_TOL if rise else rate < -PIVOT_TOL
+            cand = np.flatnonzero(self.movable() & toward)
+            if cand.size == 0:
+                if self._certifies_infeasible(r):
+                    return "infeasible"
+                raise LpNumericalError(f"row {r} infeasibility not confirmed")
+            ratio = np.abs(z[cand]) / np.abs(alpha[cand])
+            ties = cand[ratio <= ratio.min() + STEP_TOL]
+            j = int(ties[np.argmax(np.abs(alpha[ties]))])
+            target = basic_lower[r] if rise else basic_upper[r]
+            self.iterations += 1
+            self.pivot(r, j, (self.xb[r] - target) / alpha[j], z,
+                       leaving_at_upper=not rise)
+
+    def _certifies_infeasible(self, r: int) -> bool:
+        """Whether row r of a fresh factorization, y^T A x = y^T b, is out of
+        reach for every x within the column bounds (a Farkas proof)."""
+        std = self.std
+        unit = np.zeros(self.m)
+        unit[r] = 1.0
+        y = np.linalg.solve(std.a[:, self.basis].T, unit)
+        row, target = y @ std.a, float(y @ std.b)
+        # entries below the pivot tolerance are rounding (the other basic
+        # columns' are zero in exact arithmetic), not directions to reach
+        pos, neg = row > PIVOT_TOL, row < -PIVOT_TOL
+        reach_low = row[pos] @ self.lo[pos] + row[neg] @ self.hi[neg]
+        reach_high = row[pos] @ self.hi[pos] + row[neg] @ self.lo[neg]
+        tol = DUAL_TOL * (1.0 + float(np.abs(std.b).max()))
+        return bool(reach_low > target + tol or reach_high < target - tol)
+
     def drive_out_artificials(self) -> None:
         std = self.std
         for r in range(self.m):
-            col = int(self.basis[r])
-            if not std.artificials[col]:
+            if not std.artificials[self.basis[r]]:
                 continue
-            row = self.t[r]
             candidates = np.flatnonzero(
-                (~std.artificials) & self.allowed & (np.abs(row) > PIVOT_TOL))
-            candidates = candidates[~self.in_basis[candidates]]
+                ~std.artificials & ~self.in_basis
+                & (np.abs(self.t[r]) > PIVOT_TOL))
             if candidates.size == 0:
                 continue  # redundant row; artificial stays basic at zero
-            j = int(candidates[0])
-            piv = self.t[r, j]
-            self.t[r] /= piv
-            factors = self.t[:, j].copy()
-            factors[r] = 0.0
-            self.t -= np.outer(factors, self.t[r])
-            self.t[:, j] = 0.0
-            self.t[r, j] = 1.0
-            self.in_basis[col] = False
-            self.in_basis[j] = True
-            was_upper = self.at_upper[j]
-            self.at_upper[j] = False
-            self.basis[r] = j
-            # entering keeps its bound value; basic value unchanged (zero row)
-            self.xb[r] = std.upper[j] if was_upper else 0.0
-
-
-def _nonbasic_values(tab: _Tableau) -> np.ndarray:
-    std = tab.std
-    vals = np.zeros(tab.k)
-    finite_upper = np.where(np.isfinite(std.upper), std.upper, 0.0)
-    vals[tab.at_upper] = finite_upper[tab.at_upper]
-    vals[tab.in_basis] = 0.0
-    return vals
+            # entering keeps its bound value; basic values unchanged
+            self.pivot(r, int(candidates[0]), 0.0)
 
 
 def solve_lp(model: LpModel, *,
              bounds_override: dict[int, tuple[float, float]] | None = None,
+             basis: tuple[np.ndarray, np.ndarray] | None = None,
              deadline: float | None = None) -> LpSolution:
     """Solve a linear program, returning primal values and row duals.
 
     ``bounds_override`` maps variable indices to replacement (lb, ub) pairs
     without mutating the model (used heavily by the tree search).
+    ``basis``, the ``basis`` of an earlier solution of this model, warm
+    starts the solve: one factorization rebuilds its tableau and the bounded
+    dual simplex re-solves under the overridden bounds.  When that cannot
+    finish (a corrupt or singular basis, dual feasibility lost to drift, the
+    pivot limit or a failed check) the LP is solved cold, and the result
+    counts the pivots of both.
     ``deadline`` is an absolute time.monotonic() stamp, checked before every
     pivot; crossing it raises SolveTimeout.  The returned solution is
     verified by direct substitution: primal feasibility within 1e-9,
@@ -436,11 +548,27 @@ def solve_lp(model: LpModel, *,
     if bounds_override:
         for idx, (lo, hi) in bounds_override.items():
             lower[idx], upper[idx] = lo, hi
-    std, reason = _standardize(model, lower, upper)
+    spent = 0
+    if basis is not None:
+        warm, spent = _solve_warm(model, lower, upper, basis, deadline)
+        if warm is not None:
+            return warm
+    cold = _solve_cold(model, lower, upper, bool(bounds_override), deadline)
+    return dataclasses.replace(cold, iterations=cold.iterations + spent) \
+        if spent else cold
+
+
+def _solve_cold(model: LpModel, lower: np.ndarray, upper: np.ndarray,
+                overridden: bool, deadline: float | None) -> LpSolution:
+    """Two-phase primal simplex from the slack basis.  Without overridden
+    bounds it runs in the model's cached standard form and reports its
+    final basis."""
+    std = _standardize(model, lower, upper) if overridden \
+        else model.standard_form()
     if std is None:
         return _no_optimum(model, "infeasible", 0)
 
-    tab = _Tableau(std, deadline)
+    tab = _Tableau(std, np.zeros(std.a.shape[1]), std.upper.copy(), deadline)
     scale = 1.0 + (float(np.abs(std.b).max()) if std.b.size else 0.0)
 
     if std.artificials.any():
@@ -450,9 +578,7 @@ def solve_lp(model: LpModel, *,
         if phase1 > DUAL_TOL * scale:
             return _no_optimum(model, "infeasible", tab.iterations)
         tab.drive_out_artificials()
-        tab.allowed[std.artificials] = False
-        # nonbasic artificials are pinned at zero
-        tab.at_upper[std.artificials & ~tab.in_basis] = False
+        tab.hi[std.artificials] = 0.0  # artificials are pinned at zero
 
     status = tab.run(std.cost, phase_one=False)
     if status == "unbounded":
@@ -463,7 +589,51 @@ def solve_lp(model: LpModel, *,
         step[tab.basis] = -delta * tab.t[:, j]
         return _no_optimum(model, "unbounded", tab.iterations,
                            ray=step[:model.num_vars])
-    return _finalize(model, std, tab, lower, upper)
+    return _finalize(model, std, tab, lower, upper, keep_basis=not overridden)
+
+
+def _solve_warm(model: LpModel, lower: np.ndarray, upper: np.ndarray,
+                basis: tuple[np.ndarray, np.ndarray],
+                deadline: float | None) -> tuple[LpSolution | None, int]:
+    """Bounded dual simplex from ``basis`` in the cached standard form.
+
+    Returns the solution and the pivots spent; the solution is None when
+    this path cannot finish and the LP must be solved cold.
+    """
+    std = model.standard_form()
+    if std is None:
+        return None, 0
+    m, k = std.a.shape
+    columns, at_upper = (np.asarray(part) for part in basis)
+    if columns.shape != (m,) or at_upper.shape != (k,) \
+            or at_upper.dtype != bool or columns.dtype.kind not in "iu" \
+            or ((columns < 0) | (columns >= k)).any() \
+            or np.bincount(columns, minlength=k).max(initial=0) > 1:
+        return None, 0
+    n = model.num_vars
+    lo = np.zeros(k)
+    hi = std.upper.copy()
+    lo[:n] = lower - std.shift
+    hi[:n] = upper - std.shift
+    hi[std.artificials] = 0.0
+    if (lo > hi).any():
+        return None, 0
+    try:
+        tab = _Tableau(std, lo, hi, deadline, columns, at_upper)
+    except np.linalg.LinAlgError:
+        return None, 0
+    try:
+        if tab.run_dual(std.cost) == "infeasible":
+            return (_no_optimum(model, "infeasible", tab.iterations),
+                    tab.iterations)
+        # the primal loop confirms optimality by the cold solve's own test
+        # and repairs reduced costs that drifted past it
+        if tab.run(std.cost, phase_one=False) != "optimal":
+            return None, tab.iterations
+        return (_finalize(model, std, tab, lower, upper, keep_basis=True),
+                tab.iterations)
+    except (LpNumericalError, np.linalg.LinAlgError):
+        return None, tab.iterations
 
 
 def _no_optimum(model: LpModel, status: str, iterations: int,
@@ -480,25 +650,22 @@ def _no_optimum(model: LpModel, status: str, iterations: int,
 
 
 def _finalize(model: LpModel, std: _Standard, tab: _Tableau,
-              lower: np.ndarray, upper: np.ndarray) -> LpSolution:
-    m = tab.m
-    if m:
+              lower: np.ndarray, upper: np.ndarray,
+              keep_basis: bool) -> LpSolution:
+    x_std = tab.nonbasic_values()
+    if tab.m:
         basis_cols = std.a[:, tab.basis]
-        nb_vals = _nonbasic_values(tab)
-        nb_vals[tab.basis] = 0.0
-        rhs_eff = std.b - std.a @ nb_vals
+        rhs_eff = std.b - std.a @ x_std
         try:
             xb = np.linalg.solve(basis_cols, rhs_eff)
             y = np.linalg.solve(basis_cols.T, std.cost[tab.basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+        except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular final basis: {exc}") from exc
-        x_std = nb_vals
         x_std[tab.basis] = xb
     else:
-        x_std = _nonbasic_values(tab)
         y = np.zeros(0)
 
-    values = lower + x_std[:model.num_vars]
+    values = std.shift + x_std[:model.num_vars]
 
     duals = np.zeros(model.num_rows)
     duals[std.kept_rows] = std.row_sigma * y
@@ -512,7 +679,8 @@ def _finalize(model: LpModel, std: _Standard, tab: _Tableau,
     return LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,
         reduced_costs=reduced, var_names=tuple(model.var_names),
-        row_names=tuple(model.row_names), iterations=tab.iterations)
+        row_names=tuple(model.row_names), iterations=tab.iterations,
+        basis=(tab.basis.copy(), tab.at_upper.copy()) if keep_basis else None)
 
 
 def _verify(model: LpModel, dense: np.ndarray, values: np.ndarray,

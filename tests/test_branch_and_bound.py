@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 from oracles import solve_bruteforce
 
-from sndp.branch_and_bound import MilpModel, solve_milp
+import sndp.branch_and_bound as bnb
+from sndp.branch_and_bound import MilpError, MilpModel, solve_milp
 from sndp.decomposition import build_master
 from sndp.instances import DesignVector
 from sndp.separation import build_mincut_attack_milp
-from sndp.simplex import LpModel
+from sndp.simplex import LpModel, solve_lp
 
 
 def knapsack_pair():
@@ -182,3 +184,55 @@ def test_master_shaped_models_match_enumeration():
         assert a.objective == pytest.approx(best, abs=1e-6), f"trial {trial}"
         assert all(abs(a.values[j] - round(a.values[j])) <= 1e-6
                    for j in model.binaries)
+
+
+def test_node_limit_raises(monkeypatch):
+    # 2 x1 + 2 x2 <= 3 has a fractional root, so the search needs a child
+    lp = LpModel()
+    lp.add_var("x1", ub=1.0, obj=-1.0)
+    lp.add_var("x2", ub=1.0, obj=-1.0)
+    lp.add_row("half", {"x1": 2.0, "x2": 2.0}, "<=", 3.0)
+    model = MilpModel(lp, (0, 1))
+    assert solve_milp(model).objective == pytest.approx(-1.0, abs=1e-9)
+    monkeypatch.setattr(bnb, "MAX_NODES", 1)
+    with pytest.raises(MilpError, match="node limit 1 exceeded"):
+        solve_milp(model)
+
+
+def test_warm_solves_match_cold_solves():
+    # random fixing walks down from the root; every node re-solves from its
+    # parent's basis and must agree with a cold solve of the same bounds
+    rng = random.Random(808)
+    models = [(random_mixed_model(rng), "mixed") for _ in range(60)]
+    models += [(master_shaped_model(rng, 12, shed_cap=cap), kind)
+               for cap, kind in ((None, "penalty"), (0.1, "cap"), (0.3, "cap"))
+               for _ in range(8)]
+    optimal = collections.Counter()
+    infeasible = collections.Counter()
+    for trial, (model, kind) in enumerate(models):
+        lp = model.lp
+        root = solve_lp(lp)
+        if root.status != "optimal":
+            continue
+        assert root.basis is not None
+        for _ in range(3):
+            parent, bounds = root, {}
+            for idx in rng.sample(model.binaries, len(model.binaries)):
+                value = float(rng.randint(0, 1))
+                bounds = {**bounds, idx: (value, value)}
+                warm = solve_lp(lp, bounds_override=bounds,
+                                basis=parent.basis)
+                cold = solve_lp(lp, bounds_override=bounds)
+                assert warm.status == cold.status, f"trial {trial} {bounds}"
+                if warm.status != "optimal":
+                    infeasible[kind] += 1
+                    break
+                optimal[kind] += 1
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       abs=1e-7)
+                # only the warm path reports a basis under overridden bounds
+                assert warm.basis is not None and cold.basis is None
+                parent = warm
+    assert min(optimal.values()) >= 100 and len(optimal) == 3
+    # shortage-cap children that no fixing can keep under the cap
+    assert infeasible["mixed"] >= 20 and infeasible["cap"] >= 10

@@ -7,6 +7,7 @@ import pytest
 from conftest import rescaled
 from oracles import evaluate_cut
 
+import sndp.branch_and_bound
 import sndp.decomposition
 import sndp.recourse
 from sndp.branch_and_bound import solve_milp
@@ -238,6 +239,25 @@ def test_clipping_and_pseudo_costs_shrink_the_master_tree():
     assert sum(rec["master_nodes"] for rec in sol.iteration_log) <= 200
     assert sol.objective == pytest.approx(solve_benders(ring).objective,
                                           abs=1e-6)
+
+
+def test_warm_started_nodes_cut_the_pivots_of_a_solve(monkeypatch):
+    # the ring above: 2,115 pivots over the master and min-cut B&B node
+    # LPs (416 and 1,699) when every node was solved cold
+    ring = dataclasses.replace(generate_instance(
+        GeneratorSpec("replicated", 6, replication=6, seed=2,
+                      placement_seed=2)), budget=2.0)
+    pivots = []
+    original = sndp.branch_and_bound.solve_lp
+
+    def counted(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        pivots.append(sol.iterations)
+        return sol
+    monkeypatch.setattr(sndp.branch_and_bound, "solve_lp", counted)
+    sol = solve_delayed(ring)
+    assert sol.objective == pytest.approx(6.0, abs=1e-6)
+    assert sum(pivots) <= 1000
 
 
 def test_duplicated_cut_changes_nothing(tri3b):

@@ -7,7 +7,12 @@ import pytest
 from oracles import evaluate_cut
 
 import sndp.recourse
-from sndp.decomposition import enumerate_scenarios
+from sndp.decomposition import (
+    VIOLATION_TOL,
+    MasterState,
+    _recheck_scenarios,
+    enumerate_scenarios,
+)
 from sndp.instances import (
     AttackVector,
     DesignVector,
@@ -24,6 +29,7 @@ from sndp.recourse import (
     make_cut,
     price_scenarios,
     solve_recourse,
+    worst_case,
 )
 from sndp.separation import budget_attacks
 from sndp.simplex import solve_lp
@@ -244,3 +250,33 @@ def test_scan_over_built_edges_keeps_no_result():
         alive.append(weakref.ref(result))
         del result
     assert len(alive) > 10
+
+
+def test_recheck_prices_each_restriction_once(monkeypatch):
+    inst, design = _grid12()
+    attacks = list(enumerate_scenarios(inst))
+    threshold = 0.1
+    # reference: every scenario priced by one scan, cut from its own pair
+    reference = list(price_scenarios(inst, design, attacks))
+    expected = MasterState()
+    for attack, result in reference:
+        if result.shed > threshold + VIOLATION_TOL:
+            expected.add_cut(make_cut(result, inst, attack))
+    calls = []
+
+    def counted(i, d, a, deadline=None):
+        calls.append(a)
+        return solve_recourse(i, d, a, deadline)
+    monkeypatch.setattr(sndp.recourse, "solve_recourse", counted)
+    state = MasterState(scenarios=list(attacks))
+    added, worst, worst_attack = _recheck_scenarios(
+        inst, state, design, threshold, None)
+    distinct = {restrict_attack(a, design) for a in attacks}
+    assert max(collections.Counter(calls).values()) == 1
+    assert set(calls) == distinct
+    # the same cuts, in the same order, and the same worst case
+    assert added == len(expected.cuts) > 0
+    assert [c.key() for c in state.cuts] == [c.key() for c in expected.cuts]
+    assert [c.attack for c in state.cuts] \
+        == [c.attack for c in expected.cuts]
+    assert (worst, worst_attack) == worst_case(reference)

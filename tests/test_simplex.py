@@ -265,3 +265,41 @@ def test_milp_passes_its_deadline_to_each_lp(monkeypatch):
                    deadline=stamp)
     assert seen and set(seen) == {stamp}
     assert bnb.SolveTimeout is SolveTimeout
+
+
+def test_corrupt_basis_gets_the_cold_optimum():
+    model = _assignment_lp(4)
+    cold = solve_lp(model)
+    columns, at_upper = cold.basis
+    duplicated = columns.copy()
+    duplicated[1] = duplicated[0]
+    for basis in ((duplicated, at_upper), (columns[:-1], at_upper),
+                  (columns, at_upper[:-1]), (columns + 10 ** 6, at_upper)):
+        sol = solve_lp(model, bounds_override={0: (0.0, 0.0)}, basis=basis)
+        again = solve_lp(model, bounds_override={0: (0.0, 0.0)})
+        assert sol.status == again.status == "optimal"
+        assert np.array_equal(sol.values, again.values)
+        assert sol.basis is None  # the cold answer, under overridden bounds
+
+
+def test_singular_basis_gets_the_cold_optimum():
+    # x and y have equal columns, so a basis holding both is singular
+    m = LpModel()
+    m.add_var("x", ub=4.0, obj=1.0)
+    m.add_var("y", ub=4.0, obj=2.0)
+    m.add_row("r1", {"x": 1.0, "y": 1.0}, ">=", 3.0)
+    m.add_row("r2", {"x": 2.0, "y": 2.0}, "<=", 7.0)
+    cold = solve_lp(m)
+    singular = (np.array([0, 1]), np.zeros_like(cold.basis[1]))
+    sol = solve_lp(m, basis=singular)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert np.array_equal(sol.values, cold.values)
+
+
+def test_warm_start_from_own_basis_needs_no_pivot():
+    model = _assignment_lp(5)
+    cold = solve_lp(model)
+    warm = solve_lp(model, basis=cold.basis)
+    assert warm.iterations == 0
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
