@@ -9,8 +9,9 @@ the highest score branches, lowest index on ties.  Pseudo-costs live for one
 solve, so the search is deterministic.
 
 Every child re-solves from its parent's optimal basis: an open node keeps
-only that basis (on its LP solution), and ``solve_lp`` rebuilds the tableau
-with one factorization and runs the bounded dual simplex under the child's
+only that basis (on its LP solution).  The first child of an expansion
+factorizes it, its sibling reuses that factorization, and then it is
+dropped; ``solve_lp`` runs the bounded dual simplex under each child's
 bounds, falling back to a cold solve when that path cannot finish.  No
 cutting planes or presolve: problem-specific strengthening belongs to the
 callers.
@@ -107,13 +108,12 @@ class _PseudoCosts:
         return int(idx[np.argmax(ties)])
 
 
-def solve_milp(model: MilpModel, *, deadline: float | None = None,
-               node_trace: list | None = None) -> MilpSolution:
+def solve_milp(model: MilpModel, *,
+               deadline: float | None = None) -> MilpSolution:
     """Solve to an absolute optimality gap of 1e-6 with deterministic search.
 
     ``deadline`` is an absolute time.monotonic() stamp; crossing it raises
-    SolveTimeout.  ``node_trace`` (if given) collects the LP bound of every
-    expanded node, in exploration order.
+    SolveTimeout.
     """
     lp = model.lp
     counter = itertools.count()
@@ -123,14 +123,14 @@ def solve_milp(model: MilpModel, *, deadline: float | None = None,
     pseudo = _PseudoCosts(lp.num_vars, model.binaries)
     nodes_solved = 0
 
-    def solve_node(bounds, basis):
+    def solve_node(bounds, basis, shared=None):
         nonlocal nodes_solved
         nodes_solved += 1
         if nodes_solved > MAX_NODES:
             raise MilpError(f"node limit {MAX_NODES} exceeded")
         check_deadline(deadline, "MILP search deadline expired")
         sol = solve_lp(lp, bounds_override=bounds, basis=basis,
-                       deadline=deadline)
+                       shared=shared, deadline=deadline)
         if sol.status == "unbounded":
             raise MilpError("LP relaxation is unbounded")
         return sol
@@ -142,8 +142,6 @@ def solve_milp(model: MilpModel, *, deadline: float | None = None,
 
     while heap:
         bound, _, bounds, sol = heapq.heappop(heap)
-        if node_trace is not None:
-            node_trace.append(bound)
         if bound >= incumbent_obj - FATHOM_TOL:
             continue
         branch = pseudo.branch_var(sol.values)
@@ -154,11 +152,12 @@ def solve_milp(model: MilpModel, *, deadline: float | None = None,
             incumbent_obj = bound
             continue
         value = sol.values[branch]
+        shared: dict = {}  # the parent basis, factorized once for both
         for side, (fixed, moved) in enumerate(((0.0, value),
                                                (1.0, 1.0 - value))):
             child_bounds = dict(bounds)
             child_bounds[branch] = (fixed, fixed)
-            child = solve_node(child_bounds, sol.basis)
+            child = solve_node(child_bounds, sol.basis, shared)
             if child.status != "optimal":
                 continue
             child_bound = child.objective

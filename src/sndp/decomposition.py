@@ -34,6 +34,9 @@ from sndp.instances import (
     validate,
 )
 from sndp.recourse import (
+    CUT_TOL,
+    FWD,
+    REV,
     BendersCut,
     make_cut,
     price_scenarios,
@@ -229,23 +232,39 @@ def _recheck_scenarios(inst, state, design, threshold, deadline):
 
     Each distinct restriction of the listed scenarios to the built edges is
     priced once, in first-seen order; every scenario then cuts from its
-    restriction's duals.  Returns the number of cuts added, the worst shed
-    seen and the attack that attains it.
+    restriction's duals.  A scenario's cut differs from its restriction's
+    only in the zero coefficients of its attacked edges off the design, so
+    scenarios that agree on the restriction and on which of those edges
+    carry a coefficient that survives the pool's rounding share one pool
+    key; the first of them builds the cut, the rest build none.  Returns the
+    number of cuts added, the worst shed seen and the attack that attains
+    it.
     """
     t0 = time.perf_counter()
     restricted = [restrict_attack(s, design) for s in state.scenarios]
     outcome = dict(price_scenarios(inst, design, dict.fromkeys(restricted),
                                    deadline))
-    priced = [(scenario, outcome[effective])
+    priced = [(scenario, effective, outcome[effective])
               for scenario, effective in zip(state.scenarios, restricted)
               if effective in outcome]
     added = 0
-    for scenario, result in priced:
-        if result.shed > threshold + VIOLATION_TOL \
-                and state.add_cut(make_cut(result, inst, scenario)):
+    built_cuts = set()
+    for scenario, effective, result in priced:
+        if result.shed <= threshold + VIOLATION_TOL:
+            continue
+        zeroed = frozenset(
+            eid for eid in scenario.disrupted - effective.disrupted
+            if round(inst.edge(eid).u * (result.arc_duals[(eid, FWD)]
+                                         + result.arc_duals[(eid, REV)])
+                     / CUT_TOL))
+        if (effective, zeroed) in built_cuts:
+            continue
+        built_cuts.add((effective, zeroed))
+        if state.add_cut(make_cut(result, inst, scenario)):
             added += 1
     state.timers["sp"] += time.perf_counter() - t0
-    worst, worst_attack = worst_case(priced)
+    worst, worst_attack = worst_case(
+        (scenario, result) for scenario, _, result in priced)
     return added, worst, worst_attack
 
 

@@ -1,15 +1,18 @@
 """Per-scenario recourse LP: minimal shed fraction, duals and Benders cuts.
 
 Given a design and an attack, the recourse problem scales every injection by
-a common factor (1 - shed) and routes flow on the surviving arcs.  Its row
-duals price one unit of relaxation of each flow-balance and capacity row and
-assemble into an optimality cut valid for every design.  ``price_scenarios``
-is the one scan that prices a list of attacks against a design.
+a common factor (1 - shed) and routes flow on the surviving arcs.  Arc
+capacities are flow bounds, which the simplex carries itself (Dantzig,
+Econometrica 1955), so the LP has one balance row per node.  The balance
+duals and the capacity duals, read off the flows' reduced costs, assemble
+into an optimality cut valid for every design.  ``price_scenarios`` is the
+one scan that prices a list of attacks against a design.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from sndp.instances import (
     AttackVector,
@@ -33,7 +36,7 @@ class RecourseResult:
 
     shed: float
     node_duals: dict[int, float]             # balance-row multipliers
-    arc_duals: dict[tuple[int, int], float]  # capacity-row multipliers, <= 0
+    arc_duals: dict[tuple[int, int], float]  # capacity multipliers, <= 0
     design: DesignVector
     attack: AttackVector
 
@@ -67,18 +70,15 @@ def _var_f(edge_id: int, direction: int) -> str:
     return f"flow[{edge_id}:{'fwd' if direction == FWD else 'rev'}]"
 
 
-def _row_cap(edge_id: int, direction: int) -> str:
-    return f"cap[{edge_id}:{'fwd' if direction == FWD else 'rev'}]"
-
-
 def add_flow_block(model: LpModel, inst: Instance, shed: int,
-                   prefix: str) -> None:
-    """Add ``flow[{prefix}{edge}:fwd|rev]`` per edge, then one balance row
-    ``balance[{prefix}{node}]`` per node: outflow - inflow + b*shed == b."""
+                   prefix: str, ub=lambda e: math.inf) -> None:
+    """Add ``flow[{prefix}{edge}:fwd|rev]`` per edge, both with upper bound
+    ``ub(edge)``, then one balance row ``balance[{prefix}{node}]`` per node:
+    outflow - inflow + b*shed == b."""
     rows = {n.id: {shed: n.b} for n in inst.nodes}
     for e in inst.edges:
         for tag, tail, head in (("fwd", e.i, e.j), ("rev", e.j, e.i)):
-            flow = model.add_var(f"flow[{prefix}{e.id}:{tag}]")
+            flow = model.add_var(f"flow[{prefix}{e.id}:{tag}]", ub=ub(e))
             rows[tail][flow] = rows[tail].get(flow, 0.0) + 1.0
             rows[head][flow] = rows[head].get(flow, 0.0) - 1.0
     for n in inst.nodes:
@@ -90,20 +90,16 @@ def build_recourse_lp(inst: Instance, design: DesignVector,
     """Assemble the shed-minimizing LP for a consistent (design, attack) pair.
 
     Variables: one flow per edge direction plus the shed fraction.  Rows: one
-    balance equality per node, one capacity bound per direction (kept for
-    unbuilt and attacked edges with zero right-hand side so that every
-    capacity row has a dual).
+    balance equality per node.  A flow's upper bound is its edge's capacity
+    when the edge is built and not attacked, and 0 otherwise.
     """
     if not attack_consistent(design, attack):
         extra = sorted(attack.disrupted - design.built)
         raise ValueError(f"attack disrupts unbuilt edges {extra}")
     model = LpModel("recourse")
-    add_flow_block(model, inst, model.add_var("shed", lb=0.0, obj=1.0), "")
-    for e in inst.edges:
-        active = e.id in design.built and e.id not in attack.disrupted
-        rhs = e.u if active else 0.0
-        model.add_row(_row_cap(e.id, FWD), {_var_f(e.id, FWD): 1.0}, "<=", rhs)
-        model.add_row(_row_cap(e.id, REV), {_var_f(e.id, REV): 1.0}, "<=", rhs)
+    active = design.built - attack.disrupted
+    add_flow_block(model, inst, model.add_var("shed", lb=0.0, obj=1.0), "",
+                   ub=lambda e: e.u if e.id in active else 0.0)
     return model
 
 
@@ -112,6 +108,8 @@ def solve_recourse(inst: Instance, design: DesignVector,
                    deadline: float | None = None) -> RecourseResult:
     """Minimal shed fraction for the surviving network, with duals.
 
+    A capacity's dual is ``min(d, 0)`` for its flow's reduced cost ``d``,
+    the dual a ``flow <= bound`` row would have in the same basis.
     ``deadline`` is an absolute time.monotonic() stamp for the LP's pivots.
     """
     model = build_recourse_lp(inst, design, attack)
@@ -119,7 +117,8 @@ def solve_recourse(inst: Instance, design: DesignVector,
     if sol.status != "optimal":  # pragma: no cover - always feasible/bounded
         raise RuntimeError(f"recourse LP ended {sol.status}")
     shed = min(max(sol.value("shed"), 0.0), 1.0)
-    arc_duals = {(e.id, direction): sol.dual(_row_cap(e.id, direction))
+    arc_duals = {(e.id, direction): min(sol.reduced_costs[
+                     model.var_id(_var_f(e.id, direction))].item(), 0.0)
                  for e in inst.edges for direction in (FWD, REV)}
     node_duals = {n.id: sol.dual(f"balance[{n.id}]") for n in inst.nodes}
     return RecourseResult(shed=shed, node_duals=node_duals,

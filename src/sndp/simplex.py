@@ -289,9 +289,10 @@ class _Tableau:
 
     def __init__(self, std: _Standard, lo: np.ndarray, hi: np.ndarray,
                  deadline: float | None, basis: np.ndarray | None = None,
-                 at_upper: np.ndarray | None = None):
-        """Start at the slack basis, or at ``basis`` with ``at_upper``, whose
-        tableau one factorization rebuilds (LinAlgError when singular)."""
+                 at_upper: np.ndarray | None = None,
+                 factor: np.ndarray | None = None):
+        """Start at the slack basis, or at ``basis`` with ``at_upper`` from a
+        copy of its ``factor``, ``B^-1 [A | b]`` (see ``_factorize``)."""
         self.std = std
         self.m, self.k = std.a.shape
         self.lo, self.hi = lo, hi
@@ -301,8 +302,7 @@ class _Tableau:
             self.basis = std.basis_hint.copy()
             self.at_upper = np.zeros(self.k, dtype=bool)
         else:
-            solved = np.linalg.solve(std.a[:, basis],
-                                     np.column_stack((std.a, std.b)))
+            solved = factor.copy()
             self.t, self.xb = solved[:, :-1], solved[:, -1]
             self.basis = basis.copy()
             self.at_upper = at_upper & np.isfinite(hi)
@@ -521,9 +521,16 @@ class _Tableau:
             self.pivot(r, int(candidates[0]), 0.0)
 
 
+def _factorize(std: _Standard, columns: np.ndarray) -> np.ndarray:
+    """``B^-1 [A | b]`` for the basis ``columns`` (LinAlgError when
+    singular)."""
+    return np.linalg.solve(std.a[:, columns], np.column_stack((std.a, std.b)))
+
+
 def solve_lp(model: LpModel, *,
              bounds_override: dict[int, tuple[float, float]] | None = None,
              basis: tuple[np.ndarray, np.ndarray] | None = None,
+             shared: dict | None = None,
              deadline: float | None = None) -> LpSolution:
     """Solve a linear program, returning primal values and row duals.
 
@@ -534,7 +541,9 @@ def solve_lp(model: LpModel, *,
     dual simplex re-solves under the overridden bounds.  When that cannot
     finish (a corrupt or singular basis, dual feasibility lost to drift, the
     pivot limit or a failed check) the LP is solved cold, and the result
-    counts the pivots of both.
+    counts the pivots of both.  ``shared``, one dict handed to the warm
+    solves of sibling nodes, keeps the first one's factorization of
+    ``basis`` for the others, so the basis is factorized once.
     ``deadline`` is an absolute time.monotonic() stamp, checked before every
     pivot; crossing it raises SolveTimeout.  The returned solution is
     verified by direct substitution: primal feasibility within 1e-9,
@@ -550,7 +559,8 @@ def solve_lp(model: LpModel, *,
             lower[idx], upper[idx] = lo, hi
     spent = 0
     if basis is not None:
-        warm, spent = _solve_warm(model, lower, upper, basis, deadline)
+        warm, spent = _solve_warm(model, lower, upper, basis, shared,
+                                  deadline)
         if warm is not None:
             return warm
     cold = _solve_cold(model, lower, upper, bool(bounds_override), deadline)
@@ -593,9 +603,10 @@ def _solve_cold(model: LpModel, lower: np.ndarray, upper: np.ndarray,
 
 
 def _solve_warm(model: LpModel, lower: np.ndarray, upper: np.ndarray,
-                basis: tuple[np.ndarray, np.ndarray],
+                basis: tuple[np.ndarray, np.ndarray], shared: dict | None,
                 deadline: float | None) -> tuple[LpSolution | None, int]:
-    """Bounded dual simplex from ``basis`` in the cached standard form.
+    """Bounded dual simplex from ``basis`` in the cached standard form,
+    factorized once per ``shared`` dict (keyed by the basis columns).
 
     Returns the solution and the pivots spent; the solution is None when
     this path cannot finish and the LP must be solved cold.
@@ -618,10 +629,14 @@ def _solve_warm(model: LpModel, lower: np.ndarray, upper: np.ndarray,
     hi[std.artificials] = 0.0
     if (lo > hi).any():
         return None, 0
-    try:
-        tab = _Tableau(std, lo, hi, deadline, columns, at_upper)
-    except np.linalg.LinAlgError:
-        return None, 0
+    shared = {} if shared is None else shared
+    key = columns.tobytes()
+    if key not in shared:
+        try:
+            shared[key] = _factorize(std, columns)
+        except np.linalg.LinAlgError:
+            return None, 0
+    tab = _Tableau(std, lo, hi, deadline, columns, at_upper, shared[key])
     try:
         if tab.run_dual(std.cost) == "infeasible":
             return (_no_optimum(model, "infeasible", tab.iterations),

@@ -7,6 +7,7 @@ import pytest
 from oracles import solve_bruteforce
 
 import sndp.branch_and_bound as bnb
+import sndp.simplex as simplex
 from sndp.branch_and_bound import MilpError, MilpModel, solve_milp
 from sndp.decomposition import build_master
 from sndp.instances import DesignVector
@@ -140,14 +141,22 @@ def test_random_models_match_bruteforce():
         assert a.objective == pytest.approx(enumerate_master(model), abs=1e-6)
 
 
-def test_popped_bounds_nondecreasing_and_deterministic():
+def test_popped_bounds_nondecreasing_and_deterministic(monkeypatch):
     rng = random.Random(55)
     model = random_mixed_model(rng)
-    trace_a: list = []
-    a = solve_milp(model, node_trace=trace_a)
+    popped: list = []
+    original = bnb.heapq.heappop
+
+    def recorded(heap):
+        item = original(heap)
+        popped.append(item[0])
+        return item
+    monkeypatch.setattr(bnb.heapq, "heappop", recorded)
+    a = solve_milp(model)
+    trace_a, popped = popped, []
     assert all(x <= y + 1e-9 for x, y in zip(trace_a, trace_a[1:]))
-    trace_b: list = []
-    b = solve_milp(model, node_trace=trace_b)
+    b = solve_milp(model)
+    trace_b = popped
     assert a.node_count == b.node_count
     assert trace_a == trace_b
     if a.status == "optimal":
@@ -236,3 +245,63 @@ def test_warm_solves_match_cold_solves():
     assert min(optimal.values()) >= 100 and len(optimal) == 3
     # shortage-cap children that no fixing can keep under the cap
     assert infeasible["mixed"] >= 20 and infeasible["cap"] >= 10
+
+
+def test_each_expansion_factorizes_the_parent_basis_once(monkeypatch):
+    factorizations = []
+    warm = []
+    factorize, solve = simplex._factorize, bnb.solve_lp
+
+    def counted_factorize(std, columns):
+        factorizations.append(columns.copy())
+        return factorize(std, columns)
+
+    def counted_solve(lp, **kwargs):
+        if kwargs.get("basis") is not None:
+            warm.append(kwargs["basis"][0])
+        return solve(lp, **kwargs)
+    monkeypatch.setattr(simplex, "_factorize", counted_factorize)
+    monkeypatch.setattr(bnb, "solve_lp", counted_solve)
+    rng = random.Random(56)
+    models = [random_mixed_model(rng) for _ in range(30)]
+    models += [master_shaped_model(rng, 12, shed_cap=cap)
+               for cap in (None, 0.3) for _ in range(4)]
+    for model in models:
+        factorizations.clear()
+        warm.clear()
+        sol = solve_milp(model)
+        # each expansion solves both children from the parent basis
+        assert len(warm) == sol.node_count - 1 and len(warm) % 2 == 0
+        assert len(factorizations) == len(warm) // 2
+        for got, parent in zip(factorizations, warm[::2]):
+            assert np.array_equal(got, parent)
+
+
+def test_shared_factorization_gives_the_unshared_solve():
+    # sibling fixings of one parent: the second reuses the first's
+    # factorization and must equal, bit for bit, a solve that does not
+    rng = random.Random(809)
+    models = [random_mixed_model(rng) for _ in range(40)]
+    models += [master_shaped_model(rng, 12, shed_cap=cap)
+               for cap in (None, 0.1, 0.3) for _ in range(4)]
+    compared = 0
+    for model in models:
+        root = solve_lp(model.lp)
+        if root.status != "optimal":
+            continue
+        for idx in model.binaries[:4]:
+            shared: dict = {}
+            for value in (0.0, 1.0):
+                bounds = {idx: (value, value)}
+                a = solve_lp(model.lp, bounds_override=bounds,
+                             basis=root.basis, shared=shared)
+                b = solve_lp(model.lp, bounds_override=bounds,
+                             basis=root.basis)
+                assert a.status == b.status and a.iterations == b.iterations
+                if a.status == "optimal":
+                    assert a.objective == b.objective
+                    assert np.array_equal(a.values, b.values)
+                    assert np.array_equal(a.duals, b.duals)
+                    compared += 1
+            assert len(shared) <= 1
+    assert compared >= 100

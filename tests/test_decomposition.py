@@ -260,6 +260,16 @@ def test_warm_started_nodes_cut_the_pivots_of_a_solve(monkeypatch):
     assert sum(pivots) <= 1000
 
 
+def test_benders_on_grid12_needs_few_rounds():
+    # grid-12, seed 1, placement 1, budget 2: 5 rounds, 68 cuts and 63
+    # master nodes when capacities were rows of the recourse LP
+    inst = dataclasses.replace(generate_instance(
+        GeneratorSpec("grid", 12, seed=1, placement_seed=1)), budget=2.0)
+    sol = solve_benders(inst)
+    assert sol.objective == pytest.approx(540.0, abs=1e-6)
+    assert len(sol.iteration_log) <= 3
+
+
 def test_duplicated_cut_changes_nothing(tri3b):
     allx = DesignVector.all_edges(tri3b)
     res = solve_recourse(tri3b, allx, AttackVector.from_ids([E12]))

@@ -1,11 +1,13 @@
 import collections
 import dataclasses
+import itertools
 import random
 import weakref
 
 import pytest
 from oracles import evaluate_cut
 
+import sndp.decomposition
 import sndp.recourse
 from sndp.decomposition import (
     VIOLATION_TOL,
@@ -42,19 +44,72 @@ def test_model_shape(tri3a):
                               EMPTY_ATTACK)
     assert model.num_vars == 7  # six directed flows plus the shed fraction
     balance = [n for n in model.row_names if n.startswith("balance")]
-    capacity = [n for n in model.row_names if n.startswith("cap")]
-    assert len(balance) == 3 and len(capacity) == 6
+    capacity = [n for n in model.row_names if n.startswith("cap[")]
+    assert len(balance) == 3 and len(capacity) == 0
+    assert model.num_rows == 3
+    assert all(model.upper[model.var_id(f"flow[{e}:{tag}]")] == 10.0
+               for e in (E12, E23, E13) for tag in ("fwd", "rev"))
 
 
-def test_unbuilt_and_attacked_edges_get_zero_rhs(tri3a, tri3b):
+def _flow_ub(model, name):
+    return model.upper[model.var_id(name)]
+
+
+def test_unbuilt_and_attacked_edges_get_zero_upper_bounds(tri3a, tri3b):
     nothing = build_recourse_lp(tri3a, DesignVector.from_ids([]), EMPTY_ATTACK)
-    assert all(nothing.rhs[nothing.row_id(f"cap[{e}:fwd]")] == 0.0
+    assert all(_flow_ub(nothing, f"flow[{e}:fwd]") == 0.0
                for e in (E12, E23, E13))
     attacked = build_recourse_lp(tri3b, DesignVector.all_edges(tri3b),
                                  AttackVector.from_ids([E12]))
-    assert attacked.rhs[attacked.row_id("cap[0:fwd]")] == 0.0
-    assert attacked.rhs[attacked.row_id("cap[0:rev]")] == 0.0
-    assert attacked.rhs[attacked.row_id("cap[1:fwd]")] == 10.0
+    assert _flow_ub(attacked, "flow[0:fwd]") == 0.0
+    assert _flow_ub(attacked, "flow[0:rev]") == 0.0
+    assert _flow_ub(attacked, "flow[1:fwd]") == 10.0
+
+
+def test_ring_recourse_lp_has_one_row_per_node():
+    # the 108-edge ring of the dsg-ring benchmark: 216 capacities, no rows
+    ring = dataclasses.replace(generate_instance(
+        GeneratorSpec("replicated", 6, replication=18, seed=1,
+                      placement_seed=1)), budget=2.0)
+    design = DesignVector.all_edges(ring)
+    attack = AttackVector.from_ids([ring.edges[0].id, ring.edges[5].id])
+    model = build_recourse_lp(ring, design, attack)
+    assert model.num_rows == len(ring.nodes) == 6
+    assert model.num_vars == 2 * len(ring.edges) + 1
+    assert solve_recourse(ring, design, attack).shed \
+        == pytest.approx(solve_lp(model).objective, abs=1e-12)
+
+
+def test_capacity_duals_are_clipped_reduced_costs():
+    # every arc dual is min(d, 0) for its flow's reduced cost d, and every
+    # cut bounds the true shed from below at every design
+    rng = random.Random(79)
+    for trial in range(50):
+        inst = generate_instance(
+            GeneratorSpec("random", num_nodes=rng.randint(3, 6), seed=trial,
+                          placement_seed=trial))
+        ids = sorted(inst.edge_index)
+        design = DesignVector(
+            frozenset(e for e in ids if rng.random() < 0.7) | inst.existing_ids)
+        attack = AttackVector(frozenset(e for e in design.built
+                                        if rng.random() < 0.3))
+        res = solve_recourse(inst, design, attack)
+        model = build_recourse_lp(inst, design, attack)
+        sol = solve_lp(model)
+        for e in inst.edges:
+            for direction, tag in ((FWD, "fwd"), (REV, "rev")):
+                d = sol.reduced_costs[model.var_id(f"flow[{e.id}:{tag}]")]
+                assert res.arc_duals[(e.id, direction)] <= 1e-9
+                assert res.arc_duals[(e.id, direction)] == min(d, 0.0)
+        cut = make_cut(res, inst)
+        candidates = sorted(inst.candidate_ids)
+        for k in range(len(candidates) + 1):
+            for combo in itertools.combinations(candidates, k):
+                other = DesignVector(inst.existing_ids | frozenset(combo))
+                truth = solve_recourse(
+                    inst, other, restrict_attack(attack, other)).shed
+                assert evaluate_cut(cut, other, truth) <= 1e-7, \
+                    f"trial {trial} design {sorted(other.built)}"
 
 
 def test_inconsistent_pair_rejected(tri3a):
@@ -280,3 +335,30 @@ def test_recheck_prices_each_restriction_once(monkeypatch):
     assert [c.attack for c in state.cuts] \
         == [c.attack for c in expected.cuts]
     assert (worst, worst_attack) == worst_case(reference)
+
+
+def test_recheck_builds_each_distinct_cut_once(monkeypatch):
+    inst, design = _grid12()
+    attacks = list(enumerate_scenarios(inst))
+    threshold = 0.1
+    # reference: a cut built for every violated scenario, then deduplicated
+    expected = MasterState()
+    violated = 0
+    for attack, result in price_scenarios(inst, design, attacks):
+        if result.shed > threshold + VIOLATION_TOL:
+            violated += 1
+            expected.add_cut(make_cut(result, inst, attack))
+    built = []
+
+    def counted(result, i, attack=None):
+        cut = make_cut(result, i, attack)
+        built.append((restrict_attack(cut.attack, design), cut.key()))
+        return cut
+    monkeypatch.setattr(sndp.decomposition, "make_cut", counted)
+    state = MasterState(scenarios=list(attacks))
+    added, _, _ = _recheck_scenarios(inst, state, design, threshold, None)
+    # the same pool, in the same order, equal to the last bit
+    assert added == len(expected.cuts) > 0
+    assert state.cuts == expected.cuts
+    # no cut built twice from one restriction's duals
+    assert len(set(built)) == len(built) < violated

@@ -113,12 +113,16 @@ def test_recourse_lp_fixture_value(tri3b):
     sol = solve_lp(model)
     assert sol.objective == pytest.approx(0.4, abs=1e-9)
     assert enumerate_vertices(model) == pytest.approx(0.4, abs=1e-7)
-    # flow-balance duals close the strong-duality identity
+    # flow-balance duals and the capacity duals min(reduced cost, 0) close
+    # the strong-duality identity
     total = sum(n.b * sol.dual(f"balance[{n.id}]") for n in tri3b.nodes)
+
+    def cap_dual(name):
+        return min(sol.reduced_costs[model.var_id(name)], 0.0)
     for e in tri3b.edges:
         x_minus_d = 0.0 if e.id == 0 else 1.0
-        total += e.u * x_minus_d * (sol.dual(f"cap[{e.id}:fwd]")
-                                    + sol.dual(f"cap[{e.id}:rev]"))
+        total += e.u * x_minus_d * (cap_dual(f"flow[{e.id}:fwd]")
+                                    + cap_dual(f"flow[{e.id}:rev]"))
     assert total == pytest.approx(0.4, abs=1e-7)
 
 
